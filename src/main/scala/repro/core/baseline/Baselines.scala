@@ -1,10 +1,10 @@
 package repro.core.baseline
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{col, lit, sum}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.query.AggQuery
+import repro.core.query.SumOfProducts.{groupedSum, product}
 import repro.core.schema.JoinTree
 
 /** The mainstream strategies LMFAO is compared against (paper §1: systems
@@ -32,18 +32,13 @@ object Baselines {
     acc
   }
 
-  /** Evaluate one query over an (already joined) dataset D. */
+  /** Evaluate one query over an (already joined) dataset D; the result
+    * columns are the query's `outputColumns`.
+    */
   def aggOver(d: DataFrame, q: AggQuery): DataFrame = {
     val filtered = q.filters.foldLeft(d)((acc, p) => acc.where(p.column))
-    val exprs = q.measures.map(m => sum(productOf(m)).as(m.name))
-    val df =
-      if (q.groupBy.isEmpty) filtered.agg(exprs.head, exprs.tail: _*)
-      else filtered.groupBy(q.groupBy.map(col): _*).agg(exprs.head, exprs.tail: _*)
-    df.select(q.outputColumns.map(col): _*)
+    groupedSum(filtered, q.groupBy, q.measures.map(m => m.name -> product(m.factors)))
   }
-
-  private def productOf(m: repro.core.query.Measure): Column =
-    m.factors.map(_.column).foldLeft(lit(1.0))(_ * _)
 
   /** Per-query baseline: the join is recomputed for every query (no sharing
     * at all — each aggregate is its own join+aggregate Spark job).

@@ -2,21 +2,22 @@ package repro.core.exec
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{col, lit, sum}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.group.{DependencyGraph, ViewGroup}
-import repro.core.query.{Factor, Predicate}
-import repro.core.viewgen.{AggRef, Plan, QueryOutput, ViewId}
+import repro.core.query.Predicate
+import repro.core.query.SumOfProducts.{groupedSum, product}
+import repro.core.viewgen.{Plan, ViewId}
 
 /** The LMFAO execution layer on Spark.
   *
   * Each multi-output view group becomes one join of the node's relation with
   * the group's incoming view frames; every merged view of the group is a
-  * single `groupBy().agg()` pass over that shared frame, and *all query
+  * single grouped SUM-of-products pass over that shared frame, and *all query
   * outputs of the group that share a group-by list are combined into one
-  * aggregate pass* (the paper's multi-output plans: e.g. the 36 scalar Σ
+  * such pass* (the paper's multi-output plans: e.g. the 36 scalar Σ
   * aggregates of a regression batch become one job). Every view is
   * materialised (cached), exactly as LMFAO's engine computes and stores each
   * view; Catalyst/Tungsten play the role of the paper's code-generation layer.
@@ -64,6 +65,11 @@ object LmfaoExec {
     val viewFrames = mutable.Map.empty[ViewId, DataFrame]
     val queryResults = mutable.Map.empty[String, DataFrame]
     val caches = mutable.ArrayBuffer.empty[DataFrame]
+    def cache(df: DataFrame): DataFrame = {
+      val f = df.persist(StorageLevel.MEMORY_AND_DISK)
+      caches += f
+      f
+    }
 
     groups.foreach { g =>
       val base = filtered(g.node)
@@ -76,49 +82,33 @@ object LmfaoExec {
       // One aggregate pass per merged view plus one per distinct output
       // group-by; share the join frame when there is more than one pass.
       val outputPasses = g.outputs.map(_.query.groupBy).distinct
-      val passes = g.views.size + outputPasses.size
       val shared =
-        if (persistViews && passes > 1 && g.incoming.nonEmpty) {
-          val f = frame.persist(StorageLevel.MEMORY_AND_DISK)
-          caches += f
-          f
-        } else frame
+        if (persistViews && g.views.size + outputPasses.size > 1 && g.incoming.nonEmpty) cache(frame)
+        else frame
 
       // Materialise every view, as LMFAO itself does: empirically the cached
       // small aggregates beat re-inlining their subplans into each consumer
       // (and they are read by the dependency-graph successors).
       g.views.foreach { v =>
-        val df = aggregate(shared, v.id.keys,
-          v.aggs.map(a => (a.name, a.localFactors, a.childRefs)))
+        val df = groupedSum(shared, v.id.keys,
+          v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName))))
         viewFrames(v.id) =
           if (persistViews) df.persist(StorageLevel.MEMORY_AND_DISK) else df
       }
 
       // Multi-output pass: all queries of the group sharing a group-by list
-      // are evaluated by one aggregate job.
-      g.outputs.groupBy(_.query.groupBy).foreach { case (gb, outs) =>
-        val aliased: Seq[(QueryOutput, Seq[(String, String)])] = outs.zipWithIndex.map {
-          case (o, i) =>
-            o -> o.query.measures.zip(o.terms).map { case (m, t) => (s"o${i}_${m.name}", m.name) }
-        }
-        val exprs = aliased.flatMap { case (o, names) =>
-          o.query.measures.zip(o.terms).zip(names).map { case ((_, t), (alias, _)) =>
-            sum(product(t.localFactors, t.childRefs)).as(alias)
+      // are evaluated by one aggregate job, measure m of the i-th as o<i>_m.
+      outputPasses.foreach { gb =>
+        val outs = g.outputs.filter(_.query.groupBy == gb).zipWithIndex
+        val combined = groupedSum(shared, gb, outs.flatMap { case (o, i) =>
+          o.query.measures.zip(o.terms).map { case (m, t) =>
+            s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
           }
-        }
-        val combined =
-          if (gb.isEmpty) shared.agg(exprs.head, exprs.tail: _*)
-          else shared.groupBy(gb.map(col): _*).agg(exprs.head, exprs.tail: _*)
-        val combinedShared =
-          if (persistViews && outs.size > 1) {
-            val f = combined.persist(StorageLevel.MEMORY_AND_DISK)
-            caches += f
-            f
-          } else combined
-        aliased.foreach { case (o, names) =>
-          val cols = gb.map(col) ++ names.map { case (alias, name) => col(alias).as(name) }
-          queryResults(o.query.name) =
-            combinedShared.select(cols: _*).select(o.query.outputColumns.map(col): _*)
+        })
+        val combinedShared = if (persistViews && outs.size > 1) cache(combined) else combined
+        outs.foreach { case (o, i) =>
+          queryResults(o.query.name) = combinedShared.select(
+            gb.map(col) ++ o.query.measures.map(m => col(s"o${i}_${m.name}").as(m.name)): _*)
         }
       }
     }
@@ -126,22 +116,9 @@ object LmfaoExec {
     Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq)
   }
 
-  /** SUM(Π localFactors × Π childAggColumns) for each aggregate, grouped by `keys`. */
-  private def aggregate(frame: DataFrame, keys: Seq[String],
-                        aggs: Seq[(String, Seq[Factor], Seq[AggRef])]): DataFrame = {
-    val exprs = aggs.map { case (name, factors, refs) => sum(product(factors, refs)).as(name) }
-    if (keys.isEmpty) frame.agg(exprs.head, exprs.tail: _*)
-    else frame.groupBy(keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
-  }
-
-  private def product(factors: Seq[Factor], refs: Seq[AggRef]): Column = {
-    val cols = factors.map(_.column) ++ refs.map(r => col(r.aggName))
-    cols.foldLeft(lit(1.0))(_ * _)
-  }
-
   /** Push each predicate to every relation that contains its attribute. */
-  def applyFilters(tree: repro.core.schema.JoinTree, tables: Map[String, DataFrame],
-                   filters: Seq[Predicate]): Map[String, DataFrame] =
+  private def applyFilters(tree: repro.core.schema.JoinTree, tables: Map[String, DataFrame],
+                           filters: Seq[Predicate]): Map[String, DataFrame] =
     tables.map { case (name, df) =>
       val rel = tree.relationByName(name)
       val applicable = filters.filter(p => rel.has(p.attr))

@@ -1,5 +1,7 @@
 package repro.core.query
 
+import org.apache.spark.sql.DataFrame
+
 /** One group-by aggregate query over the natural join D of all relations:
   *
   *   SELECT groupBy…, SUM(…) AS m₁, … FROM D [WHERE filters] GROUP BY groupBy…
@@ -27,4 +29,26 @@ final case class AggQuery(
 
   /** Output column names, group-by attributes first. */
   def outputColumns: Seq[String] = groupBy ++ measures.map(_.name)
+}
+
+/** One row of a query result on the driver: the group-by values and the
+  * measure values, each in the query's order.
+  */
+final case class LocalRow(keys: Seq[Long], measures: Seq[Double])
+
+object AggQuery {
+
+  /** Collect `q`'s result frame once. Group-by values are integer-valued
+    * attributes, read as Long; measures are read as Double, with the NULL of
+    * a global SUM over no rows read as 0.0.
+    */
+  def collect(q: AggQuery, result: DataFrame): Seq[LocalRow] =
+    result.collect().toSeq.map { r =>
+      LocalRow(
+        q.groupBy.map(k => r.getAs[Number](k).longValue),
+        q.measures.map { m =>
+          val i = r.fieldIndex(m.name)
+          if (r.isNullAt(i)) 0.0 else r.getDouble(i)
+        })
+    }
 }

@@ -34,6 +34,18 @@ final case class Predicate(attr: String, op: CmpOp, value: Long) {
     }
   }
 
+  /** Whether the value `x` of `attr` satisfies the predicate: [[column]]
+    * evaluated on the driver.
+    */
+  def holds(x: Long): Boolean = op match {
+    case CmpOp.Le => x <= value
+    case CmpOp.Ge => x >= value
+    case CmpOp.Eq => x == value
+    case CmpOp.Ne => x != value
+    case CmpOp.Lt => x < value
+    case CmpOp.Gt => x > value
+  }
+
   /** DuckDB SQL over VARCHAR-typed oracle tables. */
   def sql: String = s"CAST($attr AS BIGINT) ${op.sym} $value"
 }

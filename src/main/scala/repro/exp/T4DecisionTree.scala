@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.baseline.Baselines
 import repro.core.query.{AggQuery, CmpOp, Measure, Predicate}
-import repro.ml.tree.{DecisionTree, FeatureKind, NodeBatch, SplitFinder, ValueStats}
+import repro.ml.tree.{DecisionTree, FeatureKind, NodeBatch, SplitFinder}
 import repro.util.{Table, Timing}
 
 /** T4 - Decision-tree node batches (CART).
@@ -34,16 +34,7 @@ object T4DecisionTree {
     // Root-node split: per-feature independent join+aggregate jobs.
     val (baseStats, tPerFeature) = Timing.timed {
       val batch = NodeBatch.queries(features, label, Nil)
-      val results = Baselines.runPerQuery(ds.tree, ds.tables, batch)
-      features.map { f =>
-        f.attr -> results(s"node_${f.attr}").collect().map { r =>
-          ValueStats(
-            r.getAs[Any](f.attr).toString.toLong,
-            r.getAs[Double](s"cnt_${f.attr}"),
-            r.getAs[Double](s"sy_${f.attr}"),
-            r.getAs[Double](s"sy2_${f.attr}"))
-        }.toSeq
-      }.toMap
+      NodeBatch.stats(batch, Baselines.runPerQuery(ds.tree, ds.tables, batch))
     }
     val baseSplit = SplitFinder.bestSplit(baseStats, features)
     require(lmfaoSplit.map(_.predicate) == baseSplit.map(_.predicate),

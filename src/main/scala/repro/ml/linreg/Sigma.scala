@@ -2,6 +2,7 @@ package repro.ml.linreg
 
 import org.apache.spark.sql.DataFrame
 
+import repro.core.query.{AggQuery, LocalRow}
 import repro.ml.linalg.DenseMatrix
 
 /** The assembled non-centred covariance matrix Σ with its feature index map.
@@ -28,17 +29,18 @@ final case class Sigma(
 object Sigma {
 
   def assemble(results: Map[String, DataFrame], f: Features): Sigma = {
-    def scalar(q: String, col: String): Double =
-      results(q).collect().headOption.map(r => Option(r.getAs[Any](col)).fold(0.0)(v => v.toString.toDouble)).getOrElse(0.0)
+    // Every query of the batch is brought to the driver exactly once.
+    val local: Map[String, Seq[LocalRow]] =
+      SigmaBatch.queries(f).map(q => q.name -> AggQuery.collect(q, results(q.name))).toMap
 
-    def grouped(q: String, keys: Seq[String], col: String): Map[Seq[Long], Double] =
-      results(q).collect().map { r =>
-        keys.map(k => r.getAs[Any](k).toString.toLong) -> r.getAs[Any](col).toString.toDouble
-      }.toMap
+    def scalar(q: String): Double = local(q).headOption.fold(0.0)(_.measures.head)
+
+    def grouped(q: String): Map[Seq[Long], Double] =
+      local(q).map(r => r.keys -> r.measures.head).toMap
 
     // Observed categorical domains come from the per-category count queries.
     val catValueLists: Map[String, Seq[Long]] = f.categorical.map { c =>
-      c -> grouped(s"sigma_c_$c", Seq(c), s"agg_c_$c").keys.map(_.head).toSeq.sorted
+      c -> grouped(s"sigma_c_$c").keys.map(_.head).toSeq.sorted
     }.toMap
 
     val nCont = f.continuous.size
@@ -60,23 +62,23 @@ object Sigma {
     val m = DenseMatrix.zeros(dim, dim)
     def set(i: Int, j: Int, v: Double): Unit = { m(i, j) = v; m(j, i) = v }
 
-    val n = scalar("sigma_cnt", "agg_cnt")
+    val n = scalar("sigma_cnt")
     set(0, 0, n)
-    f.contAll.foreach(a => set(0, contIdxAll(a), scalar(s"sigma_s_$a", s"agg_s_$a")))
+    f.contAll.foreach(a => set(0, contIdxAll(a), scalar(s"sigma_s_$a")))
     for {
       (a, i) <- f.contAll.zipWithIndex
       b <- f.contAll.drop(i)
-    } set(contIdxAll(a), contIdxAll(b), scalar(s"sigma_p_${a}_$b", s"agg_p_${a}_$b"))
+    } set(contIdxAll(a), contIdxAll(b), scalar(s"sigma_p_${a}_$b"))
 
     f.categorical.foreach { c =>
-      grouped(s"sigma_c_$c", Seq(c), s"agg_c_$c").foreach { case (Seq(v), cntV) =>
+      grouped(s"sigma_c_$c").foreach { case (Seq(v), cntV) =>
         val idx = catValueIndex(c)(v)
         set(0, idx, cntV)     // intercept × one-hot
         set(idx, idx, cntV)   // one-hot diagonal (x² = x for 0/1)
       }
     }
     for { c <- f.categorical; a <- f.contAll } {
-      grouped(s"sigma_cs_${c}_$a", Seq(c), s"agg_cs_${c}_$a").foreach { case (Seq(v), s) =>
+      grouped(s"sigma_cs_${c}_$a").foreach { case (Seq(v), s) =>
         set(catValueIndex(c)(v), contIdxAll(a), s)
       }
     }
@@ -84,7 +86,7 @@ object Sigma {
       (c1, i) <- f.categorical.zipWithIndex
       c2 <- f.categorical.drop(i + 1)
     } {
-      grouped(s"sigma_cc_${c1}_$c2", Seq(c1, c2), s"agg_cc_${c1}_$c2").foreach { case (Seq(v1, v2), cnt12) =>
+      grouped(s"sigma_cc_${c1}_$c2").foreach { case (Seq(v1, v2), cnt12) =>
         set(catValueIndex(c1)(v1), catValueIndex(c2)(v2), cnt12)
       }
     }

@@ -45,10 +45,9 @@ object RkMeans {
     // Step 1: one LMFAO batch for all n projections.
     val projPlan = ViewGeneration.plan(tree, projectionQueries(dims))
     val projRes = LmfaoExec.run(tables, projPlan)
-    val projections: Map[String, Seq[(Long, Double)]] = dims.map { a =>
-      a -> projRes.queryResults(s"rk_proj_$a").collect()
-        .map(r => (r.getAs[Any](a).toString.toLong, r.getAs[Double](s"w_$a")))
-        .toSeq.sortBy(_._1)
+    val projections: Map[String, Seq[(Long, Double)]] = projectionQueries(dims).map { q =>
+      q.groupBy.head -> AggQuery.collect(q, projRes.queryResults(q.name))
+        .map(r => (r.keys.head, r.measures.head)).sortBy(_._1)
     }.toMap
     projRes.cleanup()
 
@@ -64,14 +63,14 @@ object RkMeans {
 
     // Step 3: push each A_j into the owner relation of X_j, then one grid query.
     val (gridTree, gridTables) = augment(spark, tree, tables, dims, assignments)
-    val gridPlan = ViewGeneration.plan(gridTree, Seq(coresetQuery(dims)))
-    val gridRes = LmfaoExec.run(gridTables, gridPlan)
-    val gridRows = gridRes.queryResults("rk_grid").collect()
+    val grid = coresetQuery(dims)
+    val gridRes = LmfaoExec.run(gridTables, ViewGeneration.plan(gridTree, Seq(grid)))
+    val gridRows = AggQuery.collect(grid, gridRes.queryResults(grid.name))
     gridRes.cleanup()
     val gridPoints = gridRows.map { r =>
-      dims.map(a => perDim(a).centroids(r.getAs[Any](s"c_$a").toString.toInt)(0)).toArray
-    }
-    val gridWeights = gridRows.map(_.getAs[Double]("w_grid"))
+      dims.zip(r.keys).map { case (a, c) => perDim(a).centroids(c.toInt)(0) }.toArray
+    }.toArray
+    val gridWeights = gridRows.map(_.measures.head).toArray
     val datasetSize = gridWeights.sum
 
     // Step 4: weighted k-means on the coreset.
@@ -117,13 +116,7 @@ object RkMeans {
     */
   def fullLloyd(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
                 dims: Seq[String], k: Int, seed: Long = 42): WeightedKMeans.Model = {
-    val q = AggQuery("lloyd_full", dims, Seq(Measure.count("w_full")))
-    val plan = ViewGeneration.plan(tree, Seq(q))
-    val res = LmfaoExec.run(tables, plan)
-    val rows = res.queryResults("lloyd_full").collect()
-    res.cleanup()
-    val pts = rows.map(r => dims.map(a => r.getAs[Any](a).toString.toDouble).toArray)
-    val ws = rows.map(_.getAs[Double]("w_full"))
+    val (pts, ws) = fullProjection(tree, tables, dims)
     WeightedKMeans.fit(pts, ws, k, seed = seed)
   }
 
@@ -132,13 +125,19 @@ object RkMeans {
     */
   def fullCost(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
                dims: Seq[String], centroids: Array[Array[Double]]): Double = {
-    val q = AggQuery("cost_full", dims, Seq(Measure.count("w_cost")))
-    val plan = ViewGeneration.plan(tree, Seq(q))
-    val res = LmfaoExec.run(tables, plan)
-    val rows = res.queryResults("cost_full").collect()
-    res.cleanup()
-    val pts = rows.map(r => dims.map(a => r.getAs[Any](a).toString.toDouble).toArray)
-    val ws = rows.map(_.getAs[Double]("w_cost"))
+    val (pts, ws) = fullProjection(tree, tables, dims)
     WeightedKMeans.cost(pts, ws, centroids)
+  }
+
+  /** π_dims(D) with multiplicities: the distinct dim-tuples of D as points,
+    * weighted by their counts.
+    */
+  private def fullProjection(tree: JoinTree, tables: Map[String, DataFrame],
+                             dims: Seq[String]): (Array[Array[Double]], Array[Double]) = {
+    val q = AggQuery("rk_full", dims, Seq(Measure.count("w_full")))
+    val res = LmfaoExec.run(tables, ViewGeneration.plan(tree, Seq(q)))
+    val rows = AggQuery.collect(q, res.queryResults(q.name))
+    res.cleanup()
+    (rows.map(_.keys.map(_.toDouble).toArray).toArray, rows.map(_.measures.head).toArray)
   }
 }

@@ -15,16 +15,7 @@ sealed trait TreeNode {
   def predict(row: Map[String, Long]): Double = this match {
     case Leaf(v) => v
     case Inner(split, left, right) =>
-      val x = row(split.predicate.attr)
-      val goesLeft = split.predicate.op match {
-        case repro.core.query.CmpOp.Le => x <= split.predicate.value
-        case repro.core.query.CmpOp.Eq => x == split.predicate.value
-        case repro.core.query.CmpOp.Ge => x >= split.predicate.value
-        case repro.core.query.CmpOp.Ne => x != split.predicate.value
-        case repro.core.query.CmpOp.Lt => x < split.predicate.value
-        case repro.core.query.CmpOp.Gt => x > split.predicate.value
-      }
-      if (goesLeft) left.predict(row) else right.predict(row)
+      if (split.predicate.holds(row(split.predicate.attr))) left.predict(row) else right.predict(row)
   }
 
   def depth: Int = this match {
@@ -88,17 +79,7 @@ object DecisionTree {
     val batch = NodeBatch.queries(features, label, pathConds)
     val plan = ViewGeneration.plan(tree, batch)
     val result = LmfaoExec.run(tables, plan)
-    val stats = features.map { f =>
-      val rows = result.queryResults(s"node_${f.attr}").collect()
-      f.attr -> rows.map { r =>
-        ValueStats(
-          r.getAs[Any](f.attr).toString.toLong,
-          r.getAs[Double](s"cnt_${f.attr}"),
-          r.getAs[Double](s"sy_${f.attr}"),
-          r.getAs[Double](s"sy2_${f.attr}"),
-        )
-      }.toSeq
-    }.toMap
+    val stats = NodeBatch.stats(batch, result.queryResults)
     result.cleanup()
     stats
   }

@@ -1,5 +1,7 @@
 package repro.ml.tree
 
+import org.apache.spark.sql.DataFrame
+
 import repro.core.query.{AggQuery, Measure, Predicate}
 
 /** A decision-tree feature: continuous features split on thresholds (≤ t),
@@ -38,6 +40,17 @@ object NodeBatch {
         filters = pathConds,
       )
     }
+
+  /** Per-feature value statistics from the batch's result frames (by query
+    * name), whichever engine computed them; each frame is collected once.
+    */
+  def stats(batch: Seq[AggQuery], results: Map[String, DataFrame]): Map[String, Seq[ValueStats]] =
+    batch.map { q =>
+      q.groupBy.head -> AggQuery.collect(q, results(q.name)).map { r =>
+        val Seq(cnt, sy, sy2) = r.measures
+        ValueStats(r.keys.head, cnt, sy, sy2)
+      }
+    }.toMap
 
   /** The paper-style count of *conceptual* aggregates the node explores:
     * three aggregates (SUM(1), SUM(Y), SUM(Y²)) per candidate condition; a

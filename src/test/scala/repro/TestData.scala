@@ -80,9 +80,9 @@ object TestData {
   */
 object Check {
   def lmfaoVsDuck(tree: JoinTree, tables: Map[String, DataFrame], queries: Seq[AggQuery],
-                  roots: Map[String, String] = Map.empty): Unit = {
+                  roots: Map[String, String] = Map.empty, persistViews: Boolean = true): Unit = {
     val plan = ViewGeneration.plan(tree, queries, roots)
-    val res = LmfaoExec.run(tables, plan)
+    val res = LmfaoExec.run(tables, plan, persistViews)
     try {
       queries.foreach { q =>
         Oracle.assertEquivalent(res.queryResults(q.name), SqlRender.querySql(tree, q), tables.toSeq: _*)

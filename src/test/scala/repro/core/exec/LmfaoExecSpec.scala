@@ -187,4 +187,47 @@ class LmfaoExecSpec extends SparkSpec {
     Oracle.assertEquivalent(res.queryResults("q"),
       repro.core.query.SqlRender.querySql(chainTree, query), chainTables.toSeq: _*)
   }
+
+  test("combined output passes match DuckDB with caching on and off") {
+    // All six queries are rooted at the middle relation B: one output group
+    // with two passes (GROUP BY b and the global one) of three queries each.
+    val batch = Seq(
+      q("g1", Seq("b"), Seq(Measure.count("c"))),
+      q("g2", Seq("b"), Seq(Measure.sum("s", "a"), Measure.sumSquare("s2", "d"))),
+      q("g3", Seq("b"), Seq(Measure.sumProduct("p", "a", "d"))),
+      q("e1", Nil, Seq(Measure.count("c"))),
+      q("e2", Nil, Seq(Measure.sum("s", "d"))),
+      q("e3", Nil, Seq(Measure.sumProduct("p", "a", "c"), Measure.count("n"))),
+    )
+    val roots = batch.map(_.name -> "B").toMap
+    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, batch, roots)
+    for (persist <- Seq(true, false)) {
+      val res = LmfaoExec.run(chainTables, plan, persistViews = persist)
+      val outGroups = res.groups.filter(_.outputs.nonEmpty)
+      assert(outGroups.map(_.outputs.size) == Seq(6))
+      // The shared frame of B and one combined frame per pass.
+      assert(res.caches.size == (if (persist) 3 else 0))
+      res.cleanup()
+      Check.lmfaoVsDuck(chainTree, chainTables, batch, roots, persistViews = persist)
+    }
+  }
+
+  test("AggQuery.collect reads keys as Long and a NULL global sum as 0.0") {
+    val none = Seq(Predicate("a", CmpOp.Gt, 999))
+    val batch = Seq(
+      q("grouped", Seq("a", "b"), Seq(Measure.count("c"), Measure.sum("s", "d"))),
+      q("empty", Nil, Seq(Measure.count("c")), none))
+    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, batch.take(1))
+    val res = LmfaoExec.run(chainTables, plan)
+    val rows = AggQuery.collect(batch.head, res.queryResults("grouped"))
+    val expected = res.queryResults("grouped").collect().map { r =>
+      LocalRow(Seq(r.getLong(0), r.getLong(1)), Seq(r.getDouble(2), r.getDouble(3)))
+    }
+    assert(rows.nonEmpty && rows == expected.toSeq)
+    res.cleanup()
+    val emptyPlan = repro.core.viewgen.ViewGeneration.plan(chainTree, batch.drop(1))
+    val emptyRes = LmfaoExec.run(chainTables, emptyPlan)
+    assert(AggQuery.collect(batch(1), emptyRes.queryResults("empty")) == Seq(LocalRow(Nil, Seq(0.0))))
+    emptyRes.cleanup()
+  }
 }

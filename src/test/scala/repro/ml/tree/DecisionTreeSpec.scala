@@ -128,4 +128,15 @@ class DecisionTreeSpec extends SparkSpec {
       maxDepth = 1, minLeaf = 1e9)
     assert(trained.root.isInstanceOf[Leaf])
   }
+
+  test("Predicate.holds agrees with Predicate.column evaluated by Spark") {
+    import spark.implicits._
+    val preds = Seq(CmpOp.Le, CmpOp.Ge, CmpOp.Eq, CmpOp.Ne, CmpOp.Lt, CmpOp.Gt).map(Predicate("x", _, 5))
+    // Values below, equal to and above the constant.
+    val rows = Seq(4L, 5L, 6L).toDF("x")
+      .select(org.apache.spark.sql.functions.col("x") +: preds.map(_.column): _*).collect()
+    assert(rows.map(_.getLong(0)).sorted.toSeq == Seq(4L, 5L, 6L))
+    for (r <- rows; (p, i) <- preds.zipWithIndex)
+      assert(r.getBoolean(i + 1) == p.holds(r.getLong(0)), s"${p.sql} at x = ${r.getLong(0)}")
+  }
 }
