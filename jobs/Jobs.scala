@@ -6,14 +6,24 @@ import org.apache.spark.sql.SparkSession
   * session and parses the scale factor from args(0) (default 0.1).
   */
 object JobRunner {
-  def withSpark(args: Array[String])(body: (SparkSession, Double) => Unit): Unit = {
-    val sf = args.headOption.map(_.toDouble).getOrElse(0.1)
-    val spark = SparkSession.builder
+  /** The session settings of every job, bench and test: `local[*]` and 64
+    * shuffle partitions unless the environment says otherwise, and no
+    * automatic broadcast (the engine hints a broadcast itself where a view is
+    * provably the smaller side). Cached views may change their output
+    * partitioning, so adaptive execution coalesces each small view to the
+    * few partitions it needs.
+    */
+  def builder(appName: String): SparkSession.Builder =
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("lmfao-repro")
+      .appName(appName)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+      .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", true)
+
+  def withSpark(args: Array[String])(body: (SparkSession, Double) => Unit): Unit = {
+    val sf = args.headOption.map(_.toDouble).getOrElse(0.1)
+    val spark = builder("lmfao-repro").getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     try body(spark, sf)
     finally spark.stop()

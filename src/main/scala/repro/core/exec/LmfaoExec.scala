@@ -1,9 +1,11 @@
 package repro.core.exec
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.broadcast
+import org.apache.spark.sql.types.StructType
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.group.{DependencyGraph, ViewGroup}
@@ -21,11 +23,18 @@ import repro.core.viewgen.{Plan, ViewId}
   * aggregates of a regression batch become one job). Every view is
   * materialised (cached), exactly as LMFAO's engine computes and stores each
   * view; Catalyst/Tungsten play the role of the paper's code-generation layer.
+  *
+  * An incoming view is broadcast when its relation is smaller than the
+  * group's node by `JoinTree.sizes`: the view has at most |R_from| rows and
+  * the many-to-one join leaves at most |R_node| rows, so the view is the
+  * smaller side. Each output pass is collected once, and every query result
+  * is returned as a driver-local frame.
   */
 object LmfaoExec {
 
-  /** Execution result: per-query DataFrames plus the materialised views and
-    * the groups that produced them (for inspection and benchmarks).
+  /** Execution result: per-query driver-local DataFrames (collecting one
+    * starts no Spark job) plus the materialised views and the groups that
+    * produced them (for inspection and benchmarks).
     */
   final case class Result(
       queryResults: Map[String, DataFrame],
@@ -71,13 +80,15 @@ object LmfaoExec {
       f
     }
 
-    groups.foreach { g =>
+    // Output passes run here, so a failing job must not leave cached frames.
+    try groups.foreach { g =>
       val base = filtered(g.node)
       val frame = g.incoming.foldLeft(base) { (acc, vid) =>
         val vf = viewFrames(vid)
+        val side = if (plan.tree.sizeOf(vid.from) < plan.tree.sizeOf(g.node)) broadcast(vf) else vf
         val keys = acc.columns.toSet intersect vid.keys.toSet
         require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
-        acc.join(vf, keys.toSeq.sorted, "inner")
+        acc.join(side, keys.toSeq.sorted, "inner")
       }
       // One aggregate pass per merged view plus one per distinct output
       // group-by; share the join frame when there is more than one pass.
@@ -97,7 +108,8 @@ object LmfaoExec {
       }
 
       // Multi-output pass: all queries of the group sharing a group-by list
-      // are evaluated by one aggregate job, measure m of the i-th as o<i>_m.
+      // are evaluated by one aggregate job, measure m of the i-th as o<i>_m,
+      // collected once; each query's columns are then sliced on the driver.
       outputPasses.foreach { gb =>
         val outs = g.outputs.filter(_.query.groupBy == gb).zipWithIndex
         val combined = groupedSum(shared, gb, outs.flatMap { case (o, i) =>
@@ -105,12 +117,19 @@ object LmfaoExec {
             s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
           }
         })
-        val combinedShared = if (persistViews && outs.size > 1) cache(combined) else combined
+        val rows = combined.collect().toSeq
         outs.foreach { case (o, i) =>
-          queryResults(o.query.name) = combinedShared.select(
-            gb.map(col) ++ o.query.measures.map(m => col(s"o${i}_${m.name}").as(m.name)): _*)
+          val cols = gb.map(k => k -> k) ++ o.query.measures.map(m => s"o${i}_${m.name}" -> m.name)
+          val idx = cols.map { case (c, _) => combined.schema.fieldIndex(c) }
+          val schema = StructType(cols.map { case (c, name) => combined.schema(c).copy(name = name) })
+          queryResults(o.query.name) = combined.sparkSession.createDataFrame(
+            rows.map(r => Row.fromSeq(idx.map(r.get))).asJava, schema)
         }
       }
+    } catch {
+      case e: Throwable =>
+        (viewFrames.values ++ caches).foreach(_.unpersist())
+        throw e
     }
 
     Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq)

@@ -9,7 +9,8 @@ package repro.core.schema
   * decomposition sound.
   *
   * `sizes` are cardinality hints (paper: "cardinality constraints") consumed
-  * by the root-assignment heuristic; they do not affect correctness.
+  * by the root-assignment heuristic and by the engine's join strategy (a view
+  * from a smaller relation is broadcast); they never affect answers.
   */
 final case class JoinTree(
     relations: Seq[Relation],

@@ -1,6 +1,7 @@
 package repro.ml.rkmeans
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.broadcast
 
 import repro.core.exec.LmfaoExec
 import repro.core.query.{AggQuery, Measure}
@@ -99,7 +100,8 @@ object RkMeans {
     var newRelations = tree.relations
     dims.foreach { a =>
       val owner = tree.owner(a)
-      val adf = assignments(a).toSeq.toDF(a, s"c_$a")
+      // At most one row per distinct value of a: always the broadcast side.
+      val adf = broadcast(assignments(a).toSeq.toDF(a, s"c_$a"))
       newTables = newTables.updated(owner, newTables(owner).join(adf, Seq(a), "inner"))
       newRelations = newRelations.map { r =>
         if (r.name == owner) Relation(r.name, r.attrs :+ s"c_$a") else r

@@ -8,9 +8,10 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). The session comes from `JobRunner.builder`, so tests run the same
+  * plans as the jobs and the benchmark: auto-broadcast stays off, and every
+  * broadcast join is an explicit hint in the program (small views in
+  * `LmfaoExec`, assignment relations in `RkMeans`).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -20,13 +21,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val s = repro.jobs.JobRunner.builder("repro").getOrCreate()
     // Keep test/bench output readable: task-level INFO noise off.
     s.sparkContext.setLogLevel("WARN")
     // One line in test output that tells the driver whether the cgroup

@@ -1,5 +1,12 @@
 package repro.core.exec
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.execution.{LocalTableScanExec, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
+
 import repro.{Check, Oracle, SparkSpec, TestData}
 import repro.core.query._
 
@@ -7,7 +14,7 @@ import repro.core.query._
   * engine produces is diffed against DuckDB running the textbook SQL over the
   * base relations.
   */
-class LmfaoExecSpec extends SparkSpec {
+class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val (chainTree, chainTables) = TestData.chain(spark)
   private lazy val (starTree, starTables) = TestData.star(spark)
@@ -15,6 +22,33 @@ class LmfaoExecSpec extends SparkSpec {
 
   private def q(name: String, groupBy: Seq[String], measures: Seq[Measure],
                 filters: Seq[Predicate] = Nil) = AggQuery(name, groupBy, measures, filters)
+
+  // Six queries rooted at the middle relation B: one output group with two
+  // passes (GROUP BY b and the global one) of three queries each, over B
+  // joined with the views A→B (keyed on b) and C→B (keyed on c).
+  private val atB = Seq(
+    q("g1", Seq("b"), Seq(Measure.count("c"))),
+    q("g2", Seq("b"), Seq(Measure.sum("s", "a"), Measure.sumSquare("s2", "d"))),
+    q("g3", Seq("b"), Seq(Measure.sumProduct("p", "a", "d"))),
+    q("e1", Nil, Seq(Measure.count("c"))),
+    q("e2", Nil, Seq(Measure.sum("s", "d"))),
+    q("e3", Nil, Seq(Measure.sumProduct("p", "a", "c"), Measure.count("n"))),
+  )
+  private val rootB = atB.map(_.name -> "B").toMap
+
+  /** Join key names of each hash or sort-merge join that computes `df`,
+    * looking through adaptive execution and into cached relations.
+    */
+  private def joinKeys(df: DataFrame): Seq[(String, String)] = {
+    def keys(ks: Seq[Expression]) = ks.flatMap(_.references.map(_.name)).distinct.mkString(",")
+    def go(p: SparkPlan): Seq[(String, String)] = flatMap(p) {
+      case s: InMemoryTableScanExec => go(s.relation.cachedPlan)
+      case j: BroadcastHashJoinExec => Seq("broadcast" -> keys(j.leftKeys))
+      case j: SortMergeJoinExec => Seq("sort-merge" -> keys(j.leftKeys))
+      case _ => Nil
+    }
+    go(df.queryExecution.executedPlan)
+  }
 
   test("global count over the chain join") {
     Check.lmfaoVsDuck(chainTree, chainTables, Seq(q("q", Nil, Seq(Measure.count("c")))))
@@ -189,26 +223,36 @@ class LmfaoExecSpec extends SparkSpec {
   }
 
   test("combined output passes match DuckDB with caching on and off") {
-    // All six queries are rooted at the middle relation B: one output group
-    // with two passes (GROUP BY b and the global one) of three queries each.
-    val batch = Seq(
-      q("g1", Seq("b"), Seq(Measure.count("c"))),
-      q("g2", Seq("b"), Seq(Measure.sum("s", "a"), Measure.sumSquare("s2", "d"))),
-      q("g3", Seq("b"), Seq(Measure.sumProduct("p", "a", "d"))),
-      q("e1", Nil, Seq(Measure.count("c"))),
-      q("e2", Nil, Seq(Measure.sum("s", "d"))),
-      q("e3", Nil, Seq(Measure.sumProduct("p", "a", "c"), Measure.count("n"))),
-    )
-    val roots = batch.map(_.name -> "B").toMap
-    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, batch, roots)
+    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, atB, rootB)
     for (persist <- Seq(true, false)) {
       val res = LmfaoExec.run(chainTables, plan, persistViews = persist)
       val outGroups = res.groups.filter(_.outputs.nonEmpty)
       assert(outGroups.map(_.outputs.size) == Seq(6))
-      // The shared frame of B and one combined frame per pass.
-      assert(res.caches.size == (if (persist) 3 else 0))
+      // Only the shared frame of B is cached; each pass is collected once.
+      assert(res.caches.size == (if (persist) 1 else 0))
+      assert(res.queryResults.values.forall(_.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec]))
       res.cleanup()
-      Check.lmfaoVsDuck(chainTree, chainTables, batch, roots, persistViews = persist)
+      Check.lmfaoVsDuck(chainTree, chainTables, atB, rootB, persistViews = persist)
+    }
+  }
+
+  test("a view from a smaller relation is broadcast, one from a larger relation is shuffled") {
+    // Sizes A=60, B=30, C=20: C→B is joined into B by broadcast, A→B by sort-merge.
+    val sized = LmfaoExec.run(chainTables, repro.core.viewgen.ViewGeneration.plan(chainTree, atB, rootB))
+    try assert(joinKeys(sized.caches.head).sorted == Seq("broadcast" -> "c", "sort-merge" -> "b"))
+    finally sized.cleanup()
+    // Without sizes nothing is broadcast.
+    val unsizedTree = chainTree.copy(sizes = Map.empty)
+    val unsized = LmfaoExec.run(chainTables, repro.core.viewgen.ViewGeneration.plan(unsizedTree, atB, rootB))
+    try assert(joinKeys(unsized.caches.head).sorted == Seq("sort-merge" -> "b", "sort-merge" -> "c"))
+    finally unsized.cleanup()
+  }
+
+  test("answers do not depend on the join strategy") {
+    val mixed = atB :+ q("d1", Seq("d"), Seq(Measure.sum("s", "a")))
+    for (tree <- Seq(chainTree, chainTree.copy(sizes = Map.empty))) {
+      Check.lmfaoVsDuck(tree, chainTables, atB, rootB)
+      Check.lmfaoVsDuck(tree, chainTables, mixed)
     }
   }
 
