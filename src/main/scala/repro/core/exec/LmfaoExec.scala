@@ -4,7 +4,7 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.broadcast
+import org.apache.spark.sql.functions.{broadcast, col}
 import org.apache.spark.sql.types.StructType
 import org.apache.spark.storage.StorageLevel
 
@@ -29,33 +29,58 @@ import repro.core.viewgen.{Plan, ViewId}
   * the many-to-one join leaves at most |R_node| rows, so the view is the
   * smaller side. Each output pass is collected once, and every query result
   * is returned as a driver-local frame.
+  *
+  * A later batch of the same model (Rk-means' grid query, CART's node
+  * batches) can read views of an earlier [[Result]] instead of computing
+  * them; see [[run]] for when that is sound.
   */
 object LmfaoExec {
 
   /** Execution result: per-query driver-local DataFrames (collecting one
     * starts no Spark job) plus the materialised views and the groups that
     * produced them (for inspection and benchmarks).
+    *
+    * @param plan     the plan that was run
+    * @param inputs   each relation's input frame after the pushed-down filters
+    * @param reused   views read from an earlier result; that result owns them
     */
   final case class Result(
       queryResults: Map[String, DataFrame],
       viewFrames: Map[ViewId, DataFrame],
       groups: Seq[ViewGroup],
       caches: Seq[DataFrame],
+      plan: Plan,
+      inputs: Map[String, DataFrame],
+      reused: Set[ViewId],
   ) {
-    /** Unpersist every frame cached by the run. */
+    /** Unpersist every frame this run cached; lent views stay cached until
+      * the result that computed them is cleaned up.
+      */
     def cleanup(): Unit = {
-      viewFrames.values.foreach(_.unpersist())
+      (viewFrames -- reused).values.foreach(_.unpersist())
       caches.foreach(_.unpersist())
     }
   }
 
   /** Run a plan over the given base relations.
     *
+    * With `reuse`, a view is read from that earlier result, renamed to this
+    * plan's aggregate names, instead of computed, when (1) the earlier plan
+    * has a view with the same [[ViewId]], (2) every aggregate signature this
+    * view needs appears in it, and (3) every relation of the view's subtree
+    * has the same schema, neighbours and input frame (`eq`, after filters) in
+    * both runs. A signature fixes the SUM-of-products over the subtree's join
+    * but not the pushed-down filters, hence (3). The earlier result keeps
+    * ownership of the views it lends and must outlive this one.
+    *
     * @param tables       one DataFrame per relation of the plan's join tree
-    * @param persistViews allow caching of multi-consumer views and shared
-    *                     group frames (on by default)
+    * @param persistViews cache every computed view, and each group's join
+    *                     frame when more than one pass reads it (on by default)
+    * @param reuse        an earlier result of the same model whose views may
+    *                     be read instead of computed
     */
-  def run(tables: Map[String, DataFrame], plan: Plan, persistViews: Boolean = true): Result = {
+  def run(tables: Map[String, DataFrame], plan: Plan, persistViews: Boolean = true,
+          reuse: Option[Result] = None): Result = {
     plan.tree.relations.foreach { r =>
       require(tables.contains(r.name), s"missing DataFrame for relation ${r.name}")
       r.attrs.foreach(a => require(tables(r.name).columns.contains(a),
@@ -71,7 +96,8 @@ object LmfaoExec {
     val filtered = applyFilters(plan.tree, tables, filters)
 
     val groups = DependencyGraph.groups(plan)
-    val viewFrames = mutable.Map.empty[ViewId, DataFrame]
+    val lent = reuse.fold(Map.empty[ViewId, DataFrame])(borrowable(plan, filtered, _))
+    val viewFrames = mutable.Map.empty[ViewId, DataFrame] ++= lent
     val queryResults = mutable.Map.empty[String, DataFrame]
     val caches = mutable.ArrayBuffer.empty[DataFrame]
     def cache(df: DataFrame): DataFrame = {
@@ -80,8 +106,11 @@ object LmfaoExec {
       f
     }
 
+    // A group whose views are all borrowed submits no work.
+    val pending = groups.filter(g => g.outputs.nonEmpty || g.views.exists(v => !lent.contains(v.id)))
     // Output passes run here, so a failing job must not leave cached frames.
-    try groups.foreach { g =>
+    try pending.foreach { g =>
+      val views = g.views.filterNot(v => lent.contains(v.id))
       val base = filtered(g.node)
       val frame = g.incoming.foldLeft(base) { (acc, vid) =>
         val vf = viewFrames(vid)
@@ -90,17 +119,17 @@ object LmfaoExec {
         require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
         acc.join(side, keys.toSeq.sorted, "inner")
       }
-      // One aggregate pass per merged view plus one per distinct output
+      // One aggregate pass per computed view plus one per distinct output
       // group-by; share the join frame when there is more than one pass.
       val outputPasses = g.outputs.map(_.query.groupBy).distinct
       val shared =
-        if (persistViews && g.views.size + outputPasses.size > 1 && g.incoming.nonEmpty) cache(frame)
+        if (persistViews && views.size + outputPasses.size > 1 && g.incoming.nonEmpty) cache(frame)
         else frame
 
       // Materialise every view, as LMFAO itself does: empirically the cached
       // small aggregates beat re-inlining their subplans into each consumer
       // (and they are read by the dependency-graph successors).
-      g.views.foreach { v =>
+      views.foreach { v =>
         val df = groupedSum(shared, v.id.keys,
           v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName))))
         viewFrames(v.id) =
@@ -128,11 +157,33 @@ object LmfaoExec {
       }
     } catch {
       case e: Throwable =>
-        (viewFrames.values ++ caches).foreach(_.unpersist())
+        ((viewFrames.toMap -- lent.keys).values ++ caches).foreach(_.unpersist())
         throw e
     }
 
-    Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq)
+    Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq, plan, filtered, lent.keySet)
+  }
+
+  /** The views of `earlier` that `plan` may read instead of computing (the
+    * three conditions of [[run]]), each renamed to this plan's aggregate names.
+    */
+  private def borrowable(plan: Plan, inputs: Map[String, DataFrame],
+                         earlier: Result): Map[ViewId, DataFrame] = {
+    val (tree, before) = (plan.tree, earlier.plan.tree)
+    def unchanged(n: String) =
+      before.relationByName.get(n).contains(tree.relationByName(n)) &&
+        before.neighbors(n).toSet == tree.neighbors(n).toSet &&
+        earlier.inputs.get(n).exists(_ eq inputs(n))
+    val earlierViews = earlier.plan.viewById
+    plan.views.flatMap { v =>
+      earlierViews.get(v.id).flatMap { e =>
+        val nameOf = e.aggs.map(a => a.sig -> a.name).toMap
+        if (!v.aggs.forall(a => nameOf.contains(a.sig)) ||
+            !tree.subtreeNodes(v.id.from, v.id.to).forall(unchanged)) None
+        else Some(v.id -> earlier.viewFrames(v.id).select(
+          v.id.keys.map(col) ++ v.aggs.map(a => col(nameOf(a.sig)).as(a.name)): _*))
+      }
+    }.toMap
   }
 
   /** Push each predicate to every relation that contains its attribute. */

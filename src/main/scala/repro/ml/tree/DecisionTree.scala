@@ -45,9 +45,15 @@ object DecisionTree {
   def train(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
             label: String, maxDepth: Int, minLeaf: Double = 1.0): Trained = {
     val traces = scala.collection.mutable.ArrayBuffer.empty[NodeTrace]
+    // The root batch's views stay cached for the whole tree: every node batch
+    // below reads those whose subtree holds no split attribute.
+    val rootBatch = NodeBatch.queries(features, label, Nil)
+    val root = LmfaoExec.run(tables, ViewGeneration.plan(tree, rootBatch))
 
     def grow(pathConds: Seq[Predicate], depth: Int): TreeNode = {
-      val stats = nodeStats(tree, tables, features, label, pathConds)
+      val stats =
+        if (pathConds.isEmpty) NodeBatch.stats(rootBatch, root.queryResults)
+        else nodeStats(tree, tables, features, label, pathConds, reuse = Some(root))
       val first = stats(features.head.attr)
       val n = first.map(_.count).sum
       val sy = first.map(_.sumY).sum
@@ -68,19 +74,19 @@ object DecisionTree {
       }
     }
 
-    Trained(grow(Nil, 0), traces.toSeq)
+    try Trained(grow(Nil, 0), traces.toSeq)
+    finally root.cleanup()
   }
 
   /** Run the node batch through the LMFAO engine and collect per-feature
-    * value statistics.
+    * value statistics; `reuse` lends the views of an earlier node batch
+    * (see `LmfaoExec.run`).
     */
   def nodeStats(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
-                label: String, pathConds: Seq[Predicate]): Map[String, Seq[ValueStats]] = {
+                label: String, pathConds: Seq[Predicate],
+                reuse: Option[LmfaoExec.Result] = None): Map[String, Seq[ValueStats]] = {
     val batch = NodeBatch.queries(features, label, pathConds)
-    val plan = ViewGeneration.plan(tree, batch)
-    val result = LmfaoExec.run(tables, plan)
-    val stats = NodeBatch.stats(batch, result.queryResults)
-    result.cleanup()
-    stats
+    val result = LmfaoExec.run(tables, ViewGeneration.plan(tree, batch), reuse = reuse)
+    try NodeBatch.stats(batch, result.queryResults) finally result.cleanup()
   }
 }

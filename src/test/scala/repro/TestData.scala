@@ -5,7 +5,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.exec.LmfaoExec
 import repro.core.query.{AggQuery, SqlRender}
 import repro.core.schema.{JoinTree, Relation}
-import repro.core.viewgen.ViewGeneration
+import repro.core.viewgen.{ViewGeneration, ViewId}
 
 /** Micro schemas for oracle tests: small enough that every DuckDB round-trip
   * is fast, with duplicate keys and dangling tuples so natural-join
@@ -76,17 +76,20 @@ object TestData {
 }
 
 /** Oracle harness: run a batch through the LMFAO engine and check every query
-  * result against DuckDB over the base relations.
+  * result against DuckDB over the base relations. Returns the views the run
+  * read from `reuse`, so a caller can tell that the reuse path ran.
   */
 object Check {
   def lmfaoVsDuck(tree: JoinTree, tables: Map[String, DataFrame], queries: Seq[AggQuery],
-                  roots: Map[String, String] = Map.empty, persistViews: Boolean = true): Unit = {
+                  roots: Map[String, String] = Map.empty, persistViews: Boolean = true,
+                  reuse: Option[LmfaoExec.Result] = None): Set[ViewId] = {
     val plan = ViewGeneration.plan(tree, queries, roots)
-    val res = LmfaoExec.run(tables, plan, persistViews)
+    val res = LmfaoExec.run(tables, plan, persistViews, reuse)
     try {
       queries.foreach { q =>
         Oracle.assertEquivalent(res.queryResults(q.name), SqlRender.querySql(tree, q), tables.toSeq: _*)
       }
+      res.reused
     } finally res.cleanup()
   }
 }

@@ -6,9 +6,12 @@ import org.apache.spark.sql.execution.{LocalTableScanExec, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.storage.StorageLevel
 
 import repro.{Check, Oracle, SparkSpec, TestData}
 import repro.core.query._
+import repro.core.viewgen.{Plan, ViewGeneration, ViewId}
 
 /** Engine-vs-DuckDB oracle tests over the micro schemas: every result the
   * engine produces is diffed against DuckDB running the textbook SQL over the
@@ -35,6 +38,20 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     q("e3", Nil, Seq(Measure.sumProduct("p", "a", "c"), Measure.count("n"))),
   )
   private val rootB = atB.map(_.name -> "B").toMap
+
+  // Roots A, A, C and B: the views C→B(c), B→A(b), A→B(b) and B→C(c).
+  private val mixedRoots = Seq(
+    q("b1", Nil, Seq(Measure.count("c1"))),
+    q("b2", Seq("a"), Seq(Measure.sum("s2", "d"))),
+    q("b3", Seq("d"), Seq(Measure.sum("s3", "a"), Measure.count("c3"))),
+    q("b4", Seq("b", "c"), Seq(Measure.sumProduct("p4", "a", "d"))),
+  )
+
+  /** Views of `plan` whose subtree holds none of `relations`. */
+  private def avoiding(plan: Plan, relations: Set[String]): Set[ViewId] =
+    plan.views.map(_.id).filter(id => (plan.tree.subtreeNodes(id.from, id.to) intersect relations).isEmpty).toSet
+
+  private def rows(df: DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
 
   /** Join key names of each hash or sort-merge join that computes `df`,
     * looking through adaptive execution and into cached relations.
@@ -149,12 +166,7 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("a batch of mixed queries with mixed roots") {
-    Check.lmfaoVsDuck(chainTree, chainTables, Seq(
-      q("b1", Nil, Seq(Measure.count("c1"))),
-      q("b2", Seq("a"), Seq(Measure.sum("s2", "d"))),
-      q("b3", Seq("d"), Seq(Measure.sum("s3", "a"), Measure.count("c3"))),
-      q("b4", Seq("b", "c"), Seq(Measure.sumProduct("p4", "a", "d"))),
-    ))
+    Check.lmfaoVsDuck(chainTree, chainTables, mixedRoots)
   }
 
   test("star: global count with duplicate dimension keys (multiplicity)") {
@@ -273,5 +285,66 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val emptyRes = LmfaoExec.run(chainTables, emptyPlan)
     assert(AggQuery.collect(batch(1), emptyRes.queryResults("empty")) == Seq(LocalRow(Nil, Seq(0.0))))
     emptyRes.cleanup()
+  }
+
+  test("a rerun with one relation replaced reuses exactly the views that avoid it") {
+    val plan = ViewGeneration.plan(chainTree, mixedRoots)
+    val first = LmfaoExec.run(chainTables, plan)
+    try for (r <- Seq("A", "B", "C")) withClue(s"replaced $r: ") {
+      val df = chainTables(r)
+      val tables = chainTables.updated(r, df.where(col(df.columns.last) =!= 3))
+      val reusing = LmfaoExec.run(tables, plan, reuse = Some(first))
+      val fresh = LmfaoExec.run(tables, plan)
+      try {
+        val expected = avoiding(plan, Set(r))
+        assert(expected.nonEmpty && expected.size < plan.views.size)
+        assert(reusing.reused == expected)
+        mixedRoots.foreach { query =>
+          Oracle.assertEquivalent(reusing.queryResults(query.name),
+            SqlRender.querySql(chainTree, query), tables.toSeq: _*)
+          assert(rows(reusing.queryResults(query.name)) == rows(fresh.queryResults(query.name)))
+        }
+      } finally { reusing.cleanup(); fresh.cleanup() }
+    } finally first.cleanup()
+  }
+
+  test("a view whose earlier version lacks a needed signature is recomputed") {
+    // SUM(c) multiplies c at B, so B→A(b) needs a column the count-only batch
+    // never computed; C→B(c) carries counts in both batches.
+    val count = q("n", Nil, Seq(Measure.count("c")))
+    val first = LmfaoExec.run(chainTables, ViewGeneration.plan(chainTree, Seq(count), Map("n" -> "A")))
+    try {
+      val batch = Seq(count, q("s", Nil, Seq(Measure.sum("s", "c"))))
+      val reused = Check.lmfaoVsDuck(chainTree, chainTables, batch, batch.map(_.name -> "A").toMap,
+        reuse = Some(first))
+      assert(reused == Set(ViewId("C", "B", Seq("c"))))
+    } finally first.cleanup()
+  }
+
+  test("a filtered relation blocks reuse of every view above it") {
+    val plan = ViewGeneration.plan(chainTree, mixedRoots)
+    val first = LmfaoExec.run(chainTables, plan)
+    try for (attr <- Seq("a", "b", "c", "d")) withClue(s"filter on $attr: ") {
+      // A CART path condition: pushed to every relation holding the attribute.
+      val batch = mixedRoots.map(_.copy(filters = Seq(Predicate(attr, CmpOp.Ne, 3))))
+      val holders = chainTree.relations.filter(_.has(attr)).map(_.name).toSet
+      val reused = Check.lmfaoVsDuck(chainTree, chainTables, batch, reuse = Some(first))
+      assert(reused.nonEmpty && reused == avoiding(plan, holders))
+    } finally first.cleanup()
+  }
+
+  test("lent views stay cached until the lender's cleanup, and then nothing is left") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.size
+    val plan = ViewGeneration.plan(chainTree, mixedRoots)
+    val first = LmfaoExec.run(chainTables, plan)
+    val second = LmfaoExec.run(chainTables.updated("A", chainTables("A").where(col("a") =!= 3)), plan,
+      reuse = Some(first))
+    assert(second.reused.nonEmpty)
+    second.cleanup()
+    second.reused.foreach(id => assert(first.viewFrames(id).storageLevel != StorageLevel.NONE, id.label))
+    first.cleanup()
+    assert(first.viewFrames.values.forall(_.storageLevel == StorageLevel.NONE))
+    assert(sc.getPersistentRDDs.size == before)
   }
 }

@@ -139,4 +139,20 @@ class DecisionTreeSpec extends SparkSpec {
     for (r <- rows; (p, i) <- preds.zipWithIndex)
       assert(r.getBoolean(i + 1) == p.holds(r.getLong(0)), s"${p.sql} at x = ${r.getLong(0)}")
   }
+
+  test("node batches that reuse the root's views grow the same tree and leave nothing cached") {
+    val (tree, tables) = TestData.chain(spark)
+    val features = Seq(TreeFeature("a", FeatureKind.Continuous), TreeFeature("c", FeatureKind.Categorical))
+    val before = spark.sparkContext.getPersistentRDDs.size
+    val trained = DecisionTree.train(tree, tables, features, "d", maxDepth = 2, minLeaf = 3)
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
+    assert(trained.nodes.size > 1)
+    trained.nodes.foreach { node =>
+      val fresh = DecisionTree.nodeStats(tree, tables, features, "d", node.pathConds)
+      val byValue = fresh(features.head.attr)
+      assert(byValue.map(_.count).sum == node.count)
+      assert(SplitFinder.variance(node.count, byValue.map(_.sumY).sum, byValue.map(_.sumY2).sum) == node.variance)
+      node.chosen.foreach(s => assert(SplitFinder.bestSplit(fresh, features, 3).contains(s)))
+    }
+  }
 }
