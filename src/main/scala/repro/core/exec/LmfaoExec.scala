@@ -12,6 +12,7 @@ import repro.core.group.{DependencyGraph, ViewGroup}
 import repro.core.query.Predicate
 import repro.core.query.SumOfProducts.{groupedSum, product}
 import repro.core.viewgen.{Plan, ViewId}
+import repro.util.Concurrently
 
 /** The LMFAO execution layer on Spark.
   *
@@ -29,6 +30,16 @@ import repro.core.viewgen.{Plan, ViewId}
   * the many-to-one join leaves at most |R_node| rows, so the view is the
   * smaller side. Each output pass is collected once, and every query result
   * is returned as a driver-local frame.
+  *
+  * Output passes are independent of one another, so once every frame is
+  * built they are collected at the same time (task parallelism over the
+  * group dependency graph): up to `defaultParallelism` passes run at once,
+  * each on a thread the calling thread starts, so their jobs carry the
+  * caller's Spark local properties; a run with one pass starts no thread. A
+  * view that several passes read is still computed once, because Spark
+  * builds a cached relation's blocks once and makes other readers wait for
+  * them. If a pass fails, every other pass still runs to its end; then the
+  * run's cached frames are unpersisted and the first failure is rethrown.
   *
   * A later batch of the same model (Rk-means' grid query, CART's node
   * batches) can read views of an earlier [[Result]] instead of computing
@@ -94,6 +105,7 @@ object LmfaoExec {
       plan.queries.map(_.filters.toSet).distinct.size <= 1,
       "all queries of one batch must share the same filter set (CART node batches do)")
     val filtered = applyFilters(plan.tree, tables, filters)
+    val spark = filtered(plan.tree.relations.head.name).sparkSession
 
     val groups = DependencyGraph.groups(plan)
     val lent = reuse.fold(Map.empty[ViewId, DataFrame])(borrowable(plan, filtered, _))
@@ -108,51 +120,62 @@ object LmfaoExec {
 
     // A group whose views are all borrowed submits no work.
     val pending = groups.filter(g => g.outputs.nonEmpty || g.views.exists(v => !lent.contains(v.id)))
-    // Output passes run here, so a failing job must not leave cached frames.
-    try pending.foreach { g =>
-      val views = g.views.filterNot(v => lent.contains(v.id))
-      val base = filtered(g.node)
-      val frame = g.incoming.foldLeft(base) { (acc, vid) =>
-        val vf = viewFrames(vid)
-        val side = if (plan.tree.sizeOf(vid.from) < plan.tree.sizeOf(g.node)) broadcast(vf) else vf
-        val keys = acc.columns.toSet intersect vid.keys.toSet
-        require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
-        acc.join(side, keys.toSeq.sorted, "inner")
-      }
-      // One aggregate pass per computed view plus one per distinct output
-      // group-by; share the join frame when there is more than one pass.
-      val outputPasses = g.outputs.map(_.query.groupBy).distinct
-      val shared =
-        if (persistViews && views.size + outputPasses.size > 1 && g.incoming.nonEmpty) cache(frame)
-        else frame
+    // Every frame is built here, on the calling thread, in group order; the
+    // output passes are then collected at the same time. A failing pass is
+    // rethrown only after every pass has ended, so no pass still reads a
+    // frame when the cached frames are unpersisted.
+    try {
+      val passes = pending.flatMap { g =>
+        val views = g.views.filterNot(v => lent.contains(v.id))
+        val base = filtered(g.node)
+        val frame = g.incoming.foldLeft(base) { (acc, vid) =>
+          val vf = viewFrames(vid)
+          val side = if (plan.tree.sizeOf(vid.from) < plan.tree.sizeOf(g.node)) broadcast(vf) else vf
+          val keys = acc.columns.toSet intersect vid.keys.toSet
+          require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
+          acc.join(side, keys.toSeq.sorted, "inner")
+        }
+        // One aggregate pass per computed view plus one per distinct output
+        // group-by; share the join frame when there is more than one pass.
+        val outputPasses = g.outputs.map(_.query.groupBy).distinct
+        val shared =
+          if (persistViews && views.size + outputPasses.size > 1 && g.incoming.nonEmpty) cache(frame)
+          else frame
 
-      // Materialise every view, as LMFAO itself does: empirically the cached
-      // small aggregates beat re-inlining their subplans into each consumer
-      // (and they are read by the dependency-graph successors).
-      views.foreach { v =>
-        val df = groupedSum(shared, v.id.keys,
-          v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName))))
-        viewFrames(v.id) =
-          if (persistViews) df.persist(StorageLevel.MEMORY_AND_DISK) else df
+        // Materialise every view, as LMFAO itself does: empirically the cached
+        // small aggregates beat re-inlining their subplans into each consumer
+        // (and they are read by the dependency-graph successors).
+        views.foreach { v =>
+          val df = groupedSum(shared, v.id.keys,
+            v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName))))
+          viewFrames(v.id) =
+            if (persistViews) df.persist(StorageLevel.MEMORY_AND_DISK) else df
+        }
+
+        // Multi-output pass: all queries of the group sharing a group-by list
+        // are evaluated by one aggregate job, measure m of the i-th as o<i>_m.
+        outputPasses.map { gb =>
+          val outs = g.outputs.filter(_.query.groupBy == gb).zipWithIndex
+          outs -> groupedSum(shared, gb, outs.flatMap { case (o, i) =>
+            o.query.measures.zip(o.terms).map { case (m, t) =>
+              s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
+            }
+          })
+        }
       }
 
-      // Multi-output pass: all queries of the group sharing a group-by list
-      // are evaluated by one aggregate job, measure m of the i-th as o<i>_m,
-      // collected once; each query's columns are then sliced on the driver.
-      outputPasses.foreach { gb =>
-        val outs = g.outputs.filter(_.query.groupBy == gb).zipWithIndex
-        val combined = groupedSum(shared, gb, outs.flatMap { case (o, i) =>
-          o.query.measures.zip(o.terms).map { case (m, t) =>
-            s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
-          }
-        })
-        val rows = combined.collect().toSeq
+      // Each pass is collected once; each query's columns are then sliced on
+      // the driver, in pass order.
+      val collected = Concurrently.all(spark.sparkContext.defaultParallelism)(
+        passes.map { case (_, combined) => () => combined.collect().toSeq })
+      passes.zip(collected).foreach { case ((outs, combined), rows) =>
         outs.foreach { case (o, i) =>
+          val gb = o.query.groupBy
           val cols = gb.map(k => k -> k) ++ o.query.measures.map(m => s"o${i}_${m.name}" -> m.name)
           val idx = cols.map { case (c, _) => combined.schema.fieldIndex(c) }
           val schema = StructType(cols.map { case (c, name) => combined.schema(c).copy(name = name) })
-          queryResults(o.query.name) = combined.sparkSession.createDataFrame(
-            rows.map(r => Row.fromSeq(idx.map(r.get))).asJava, schema)
+          queryResults(o.query.name) =
+            spark.createDataFrame(rows.map(r => Row.fromSeq(idx.map(r.get))).asJava, schema)
         }
       }
     } catch {

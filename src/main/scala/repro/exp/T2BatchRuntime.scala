@@ -26,8 +26,8 @@ object T2BatchRuntime {
       val (_, t) = Timing.timed {
         val plan = ViewGeneration.plan(ds.tree, queries)
         val res = LmfaoExec.run(ds.tables, plan)
-        res.queryResults.values.foreach(_.collect())
-        res.cleanup()
+        try res.queryResults.values.foreach(_.collect())
+        finally res.cleanup()
       }
       out += Row(ds.name, "LMFAO", queries.size, t)
     }

@@ -30,9 +30,7 @@ object T3LinReg {
     val (sigma, tSigma) = Timing.timed {
       val plan = ViewGeneration.plan(ds.tree, SigmaBatch.queries(contOnly))
       val res = LmfaoExec.run(ds.tables, plan)
-      val s = Sigma.assemble(res.queryResults, contOnly)
-      res.cleanup()
-      s
+      try Sigma.assemble(res.queryResults, contOnly) finally res.cleanup()
     }
 
     // Baseline: materialise D once (charged to the baseline), scan per iteration.

@@ -7,6 +7,7 @@ import repro.core.query.Predicate
 import repro.core.schema.JoinTree
 import repro.core.viewgen.ViewGeneration
 import repro.ml.tree.SplitFinder.negate
+import repro.util.Concurrently
 
 /** A learned regression tree node: either a leaf prediction or a split with
   * the left child satisfying `split.predicate`.
@@ -33,7 +34,8 @@ final case class Inner(split: Split, left: TreeNode, right: TreeNode) extends Tr
 
 /** CART over the non-materialised join D: every tree node runs one LMFAO
   * batch (one grouped query per feature under the node's path condition) and
-  * picks the variance-minimising split (paper §3).
+  * picks the variance-minimising split (paper §3). The two children of a
+  * split are grown at the same time; the result does not depend on it.
   */
 object DecisionTree {
 
@@ -44,13 +46,14 @@ object DecisionTree {
 
   def train(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
             label: String, maxDepth: Int, minLeaf: Double = 1.0): Trained = {
-    val traces = scala.collection.mutable.ArrayBuffer.empty[NodeTrace]
     // The root batch's views stay cached for the whole tree: every node batch
     // below reads those whose subtree holds no split attribute.
     val rootBatch = NodeBatch.queries(features, label, Nil)
     val root = LmfaoExec.run(tables, ViewGeneration.plan(tree, rootBatch))
+    val parallelism = tables.values.head.sparkSession.sparkContext.defaultParallelism
 
-    def grow(pathConds: Seq[Predicate], depth: Int): TreeNode = {
+    /** The subtree under `pathConds` and its node traces in pre-order. */
+    def grow(pathConds: Seq[Predicate], depth: Int): (TreeNode, Seq[NodeTrace]) = {
       val stats =
         if (pathConds.isEmpty) NodeBatch.stats(rootBatch, root.queryResults)
         else nodeStats(tree, tables, features, label, pathConds, reuse = Some(root))
@@ -58,24 +61,28 @@ object DecisionTree {
       val n = first.map(_.count).sum
       val sy = first.map(_.sumY).sum
       val sy2 = first.map(_.sumY2).sum
-      if (n <= 0) { traces += NodeTrace(pathConds, 0, 0, None); return Leaf(0.0) }
+      if (n <= 0) return (Leaf(0.0), Seq(NodeTrace(pathConds, 0, 0, None)))
       val mean = sy / n
       val nodeVar = SplitFinder.variance(n, sy, sy2)
       val split =
         if (depth >= maxDepth || n < 2 * minLeaf || nodeVar <= 0) None
         else SplitFinder.bestSplit(stats, features, minLeaf).filter(_.score < nodeVar)
-      traces += NodeTrace(pathConds, n, nodeVar, split)
+      val trace = NodeTrace(pathConds, n, nodeVar, split)
       split match {
-        case None => Leaf(mean)
+        case None => (Leaf(mean), Seq(trace))
         case Some(s) =>
-          val left = grow(pathConds :+ s.predicate, depth + 1)
-          val right = grow(pathConds :+ negate(s.predicate), depth + 1)
-          Inner(s, left, right)
+          // The two children are independent node batches: grow them at the same time.
+          val Seq((left, lt), (right, rt)) = Concurrently.all(parallelism)(Seq(
+            () => grow(pathConds :+ s.predicate, depth + 1),
+            () => grow(pathConds :+ negate(s.predicate), depth + 1)))
+          (Inner(s, left, right), trace +: (lt ++ rt))
       }
     }
 
-    try Trained(grow(Nil, 0), traces.toSeq)
-    finally root.cleanup()
+    try {
+      val (node, traces) = grow(Nil, 0)
+      Trained(node, traces)
+    } finally root.cleanup()
   }
 
   /** Run the node batch through the LMFAO engine and collect per-feature

@@ -3,9 +3,10 @@ package repro
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.core.exec.LmfaoExec
+import repro.core.group.DependencyGraph
 import repro.core.query.{AggQuery, SqlRender}
 import repro.core.schema.{JoinTree, Relation}
-import repro.core.viewgen.{ViewGeneration, ViewId}
+import repro.core.viewgen.{Plan, ViewGeneration, ViewId}
 
 /** Micro schemas for oracle tests: small enough that every DuckDB round-trip
   * is fast, with duplicate keys and dangling tuples so natural-join
@@ -80,6 +81,10 @@ object TestData {
   * read from `reuse`, so a caller can tell that the reuse path ran.
   */
 object Check {
+  /** Output passes of a plan: one per distinct group-by list of each output group. */
+  def outputPasses(plan: Plan): Int =
+    DependencyGraph.groups(plan).map(_.outputs.map(_.query.groupBy).distinct.size).sum
+
   def lmfaoVsDuck(tree: JoinTree, tables: Map[String, DataFrame], queries: Seq[AggQuery],
                   roots: Map[String, String] = Map.empty, persistViews: Boolean = true,
                   reuse: Option[LmfaoExec.Result] = None): Set[ViewId] = {

@@ -1,12 +1,17 @@
 package repro.core.exec
 
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.execution.{LocalTableScanExec, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, lit, raise_error, udf, when}
 import org.apache.spark.storage.StorageLevel
 
 import repro.{Check, Oracle, SparkSpec, TestData}
@@ -346,5 +351,62 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     first.cleanup()
     assert(first.viewFrames.values.forall(_.storageLevel == StorageLevel.NONE))
     assert(sc.getPersistentRDDs.size == before)
+  }
+
+  test("a failing pass unpersists the run's frames only after every pass has ended") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.size
+    // Only the pass rooted at A reads `a`; the pass rooted at C reads A only
+    // through the cached view A→B(b), whose plan does not compute `a`.
+    val batch = Seq(q("byA", Seq("a"), Seq(Measure.count("n"))), q("byD", Seq("d"), Seq(Measure.count("n"))))
+    val plan = ViewGeneration.plan(chainTree, batch, Map("byA" -> "A", "byD" -> "C"))
+    assert(Check.outputPasses(plan) == 2)
+    // The pass rooted at C reads `d` slowly and counts the rows it has read,
+    // so it is still running when the pass rooted at A fails.
+    // Both relations are repartitioned so that the optimizer cannot evaluate
+    // their columns at plan time, as it does over a local relation.
+    val read = sc.longAccumulator("rows of C read")
+    val slow = udf { (d: Long) => Thread.sleep(100); read.add(1); d }
+    val (a, c) = (chainTables("A").repartition(2), chainTables("C").repartition(2))
+    val failing = chainTables
+      .updated("A", a.withColumn("a", when(col("a") > 0, raise_error(lit("poisoned a"))).otherwise(col("a"))))
+      .updated("C", c.withColumn("d", slow(col("d"))))
+    val e = intercept[Exception](LmfaoExec.run(failing, plan))
+    assert(e.getMessage.contains("poisoned a"))
+    assert(read.value == c.count(), "run threw before the other pass had ended")
+    assert(sc.getPersistentRDDs.size == before)
+    Check.lmfaoVsDuck(chainTree, chainTables, batch, Map("byA" -> "A", "byD" -> "C"))
+  }
+
+  test("the caller's local properties and job group reach every job of a multi-pass run") {
+    val sc = spark.sparkContext
+    val Key = "repro.test.span"
+    val plan = ViewGeneration.plan(chainTree, mixedRoots)
+    assert(Check.outputPasses(plan) > 1)
+    val seen = new ConcurrentLinkedQueue[Option[String]]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        seen.add(Option(e.properties).map(p => s"${p.getProperty(Key)}/${p.getProperty("spark.jobGroup.id")}"))
+    }
+    // Listener events arrive in submission order, so the jobs between the two
+    // marker jobs are exactly the run's.
+    def marker(name: String): Unit = {
+      sc.setLocalProperty(Key, name)
+      try sc.parallelize(Seq(1)).count() finally sc.setLocalProperty(Key, null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("begin")
+      sc.setJobGroup("lmfao-run", "multi-pass run")
+      sc.setLocalProperty(Key, "run")
+      try LmfaoExec.run(chainTables, plan).cleanup()
+      finally { sc.clearJobGroup(); sc.setLocalProperty(Key, null) }
+      marker("end")
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!seen.contains(Some("end/null")) && System.nanoTime() < deadline) Thread.sleep(10)
+      val run = seen.asScala.toSeq.dropWhile(_ != Some("begin/null")).drop(1).takeWhile(_ != Some("end/null"))
+      assert(run.size > 1)
+      assert(run.forall(_.contains("run/lmfao-run")), run)
+    } finally sc.removeSparkListener(listener)
   }
 }

@@ -107,4 +107,40 @@ class PropertyOracleSpec extends SparkSpec {
     // The property is vacuous unless some runs actually read earlier views.
     assert(reused.sum > 0)
   }
+
+  test("random batches grouped on different relations run several passes and match DuckDB") {
+    def batchGen(rels: Seq[(String, Seq[String])]): Gen[Seq[(AggQuery, Option[String])]] = {
+      val attrs = rels.flatMap(_._2).distinct
+      for {
+        n <- Gen.choose(3, 6)
+        offset <- Gen.choose(0, rels.size - 1)
+        queries <- Gen.sequence[Seq[(AggQuery, Option[String])], (AggQuery, Option[String])](
+          (0 until n).map { i =>
+            // Query i groups on attributes of relation i + offset, so every
+            // relation carries some group-by; half of them are rooted there.
+            val (rel, relAttrs) = rels((i + offset) % rels.size)
+            for {
+              nGb <- Gen.choose(1, 2)
+              gb <- Gen.pick(nGb, relAttrs)
+              nM <- Gen.choose(1, 2)
+              measures <- Gen.sequence[Seq[Measure], Measure]((0 until nM).map(j => measureGen(attrs, j)))
+              root <- Gen.option(Gen.const(rel))
+            } yield (AggQuery(s"q$i", gb.toSeq.sorted, measures), root)
+          })
+      } yield queries
+    }
+    for ((tree, tables, seed0) <- Seq((chainTree, chainTables, 6000), (starTree, starTables, 7000))) {
+      val gen = batchGen(tree.relations.map(r => r.name -> r.attrs))
+      (1 to Cases / 2).foreach { i =>
+        val batch = sample(gen, seed0 + i)
+        val queries = batch.map(_._1)
+        val roots = batch.collect { case (q, Some(r)) => q.name -> r }.toMap
+        withClue(s"seed=${seed0 + i} batch=$batch") {
+          val plan = ViewGeneration.plan(tree, queries, roots)
+          assert(Check.outputPasses(plan) >= 2)
+          Check.lmfaoVsDuck(tree, tables, queries, roots)
+        }
+      }
+    }
+  }
 }

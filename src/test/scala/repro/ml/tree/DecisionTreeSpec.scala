@@ -1,6 +1,7 @@
 package repro.ml.tree
 
 import repro.{Check, SparkSpec, TestData}
+import repro.core.baseline.Baselines
 import repro.core.query.{CmpOp, Measure, Predicate}
 import repro.core.schema.{JoinTree, Relation}
 
@@ -154,5 +155,36 @@ class DecisionTreeSpec extends SparkSpec {
       assert(SplitFinder.variance(node.count, byValue.map(_.sumY).sum, byValue.map(_.sumY2).sum) == node.variance)
       node.chosen.foreach(s => assert(SplitFinder.bestSplit(fresh, features, 3).contains(s)))
     }
+  }
+
+  test("a depth-2 tree equals, with its node traces in pre-order, the tree grown from PerQuery statistics") {
+    val (tree, tables) = TestData.chain(spark)
+    val features = Seq(TreeFeature("a", FeatureKind.Continuous), TreeFeature("c", FeatureKind.Categorical))
+    val (maxDepth, minLeaf) = (2, 3.0)
+    // Reference: the same CART recursion, one node after the other, over
+    // statistics from the per-query baseline.
+    def grow(conds: Seq[Predicate], depth: Int): (TreeNode, Seq[DecisionTree.NodeTrace]) = {
+      val batch = NodeBatch.queries(features, "d", conds)
+      val stats = NodeBatch.stats(batch, Baselines.runPerQuery(tree, tables, batch))
+      val first = stats(features.head.attr)
+      val (n, sy, sy2) = (first.map(_.count).sum, first.map(_.sumY).sum, first.map(_.sumY2).sum)
+      if (n <= 0) (Leaf(0.0), Seq(DecisionTree.NodeTrace(conds, 0, 0, None)))
+      else {
+        val nodeVar = SplitFinder.variance(n, sy, sy2)
+        val split =
+          if (depth >= maxDepth || n < 2 * minLeaf || nodeVar <= 0) None
+          else SplitFinder.bestSplit(stats, features, minLeaf).filter(_.score < nodeVar)
+        val trace = DecisionTree.NodeTrace(conds, n, nodeVar, split)
+        split.fold[(TreeNode, Seq[DecisionTree.NodeTrace])]((Leaf(sy / n), Seq(trace))) { s =>
+          val (l, lt) = grow(conds :+ s.predicate, depth + 1)
+          val (r, rt) = grow(conds :+ SplitFinder.negate(s.predicate), depth + 1)
+          (Inner(s, l, r), trace +: (lt ++ rt))
+        }
+      }
+    }
+    val (root, traces) = grow(Nil, 0)
+    // The root and one of its children split: sibling batches ran at the same time.
+    assert(root.depth == 2 && traces.size == 5)
+    assert(DecisionTree.train(tree, tables, features, "d", maxDepth, minLeaf) == DecisionTree.Trained(root, traces))
   }
 }
