@@ -35,10 +35,8 @@ object Baselines {
   /** Evaluate one query over an (already joined) dataset D; the result
     * columns are the query's `outputColumns`.
     */
-  def aggOver(d: DataFrame, q: AggQuery): DataFrame = {
-    val filtered = q.filters.foldLeft(d)((acc, p) => acc.where(p.column))
-    groupedSum(filtered, q.groupBy, q.measures.map(m => m.name -> product(m.factors)))
-  }
+  def aggOver(d: DataFrame, q: AggQuery): DataFrame =
+    groupedSum(d, q.groupBy, q.measures.map(m => m.name -> product(m.factors)))
 
   /** Per-query baseline: the join is recomputed for every query (no sharing
     * at all — each aggregate is its own join+aggregate Spark job).

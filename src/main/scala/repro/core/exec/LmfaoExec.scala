@@ -9,7 +9,6 @@ import org.apache.spark.sql.types.StructType
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.group.{DependencyGraph, ViewGroup}
-import repro.core.query.Predicate
 import repro.core.query.SumOfProducts.{groupedSum, product}
 import repro.core.viewgen.{Plan, ViewId}
 import repro.util.Concurrently
@@ -41,7 +40,7 @@ import repro.util.Concurrently
   * them. If a pass fails, every other pass still runs to its end; then the
   * run's cached frames are unpersisted and the first failure is rethrown.
   *
-  * A later batch of the same model (Rk-means' grid query, CART's node
+  * A later batch of the same model (Rk-means' grid query, CART's level
   * batches) can read views of an earlier [[Result]] instead of computing
   * them; see [[run]] for when that is sound.
   */
@@ -52,7 +51,7 @@ object LmfaoExec {
     * produced them (for inspection and benchmarks).
     *
     * @param plan     the plan that was run
-    * @param inputs   each relation's input frame after the pushed-down filters
+    * @param inputs   each relation's input frame, as passed to [[run]]
     * @param reused   views read from an earlier result; that result owns them
     */
   final case class Result(
@@ -79,10 +78,11 @@ object LmfaoExec {
     * plan's aggregate names, instead of computed, when (1) the earlier plan
     * has a view with the same [[ViewId]], (2) every aggregate signature this
     * view needs appears in it, and (3) every relation of the view's subtree
-    * has the same schema, neighbours and input frame (`eq`, after filters) in
-    * both runs. A signature fixes the SUM-of-products over the subtree's join
-    * but not the pushed-down filters, hence (3). The earlier result keeps
-    * ownership of the views it lends and must outlive this one.
+    * has the same schema, neighbours and input frame (`eq`) in both runs. A
+    * signature fixes the SUM-of-products over the subtree's join, indicator
+    * factors included, but not the rows of its relations, which a caller may
+    * change (Rk-means' augmented relations), hence (3). The earlier result
+    * keeps ownership of the views it lends and must outlive this one.
     *
     * @param tables       one DataFrame per relation of the plan's join tree
     * @param persistViews cache every computed view, and each group's join
@@ -97,18 +97,10 @@ object LmfaoExec {
       r.attrs.foreach(a => require(tables(r.name).columns.contains(a),
         s"relation ${r.name} DataFrame is missing attribute $a"))
     }
-
-    // Per-attribute predicates push down to every relation containing the
-    // attribute (sound for natural joins; see DESIGN.md).
-    val filters = plan.queries.flatMap(_.filters).distinct
-    require(
-      plan.queries.map(_.filters.toSet).distinct.size <= 1,
-      "all queries of one batch must share the same filter set (CART node batches do)")
-    val filtered = applyFilters(plan.tree, tables, filters)
-    val spark = filtered(plan.tree.relations.head.name).sparkSession
+    val spark = tables(plan.tree.relations.head.name).sparkSession
 
     val groups = DependencyGraph.groups(plan)
-    val lent = reuse.fold(Map.empty[ViewId, DataFrame])(borrowable(plan, filtered, _))
+    val lent = reuse.fold(Map.empty[ViewId, DataFrame])(borrowable(plan, tables, _))
     val viewFrames = mutable.Map.empty[ViewId, DataFrame] ++= lent
     val queryResults = mutable.Map.empty[String, DataFrame]
     val caches = mutable.ArrayBuffer.empty[DataFrame]
@@ -127,8 +119,7 @@ object LmfaoExec {
     try {
       val passes = pending.flatMap { g =>
         val views = g.views.filterNot(v => lent.contains(v.id))
-        val base = filtered(g.node)
-        val frame = g.incoming.foldLeft(base) { (acc, vid) =>
+        val frame = g.incoming.foldLeft(tables(g.node)) { (acc, vid) =>
           val vf = viewFrames(vid)
           val side = if (plan.tree.sizeOf(vid.from) < plan.tree.sizeOf(g.node)) broadcast(vf) else vf
           val keys = acc.columns.toSet intersect vid.keys.toSet
@@ -184,7 +175,7 @@ object LmfaoExec {
         throw e
     }
 
-    Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq, plan, filtered, lent.keySet)
+    Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq, plan, tables, lent.keySet)
   }
 
   /** The views of `earlier` that `plan` may read instead of computing (the
@@ -208,13 +199,4 @@ object LmfaoExec {
       }
     }.toMap
   }
-
-  /** Push each predicate to every relation that contains its attribute. */
-  private def applyFilters(tree: repro.core.schema.JoinTree, tables: Map[String, DataFrame],
-                           filters: Seq[Predicate]): Map[String, DataFrame] =
-    tables.map { case (name, df) =>
-      val rel = tree.relationByName(name)
-      val applicable = filters.filter(p => rel.has(p.attr))
-      name -> applicable.foldLeft(df)((acc, p) => acc.where(p.column))
-    }
 }

@@ -4,16 +4,16 @@ import org.apache.spark.sql.DataFrame
 
 /** One group-by aggregate query over the natural join D of all relations:
   *
-  *   SELECT groupBy…, SUM(…) AS m₁, … FROM D [WHERE filters] GROUP BY groupBy…
+  *   SELECT groupBy…, SUM(…) AS m₁, … FROM D GROUP BY groupBy…
   *
-  * A batch of these is LMFAO's input. Filters are single-attribute predicates
-  * (the CART use case); they apply to D as a whole.
+  * A batch of these is LMFAO's input. A condition on D (a CART path) is not a
+  * filter but an indicator factor of each measure ([[Predicate.indicator]]);
+  * its groups keep rows whose sums are 0.
   */
 final case class AggQuery(
     name: String,
     groupBy: Seq[String],
     measures: Seq[Measure],
-    filters: Seq[Predicate] = Nil,
 ) {
   require(name.nonEmpty, "query name must be non-empty")
   require(measures.nonEmpty, s"query $name needs at least one measure")
@@ -23,9 +23,8 @@ final case class AggQuery(
     measures.forall(m => !groupBy.exists(g => m.name == g)),
     s"query $name: measure names must not collide with group-by attributes")
 
-  /** Every attribute the query touches (group-by, measures, filters). */
-  def attrs: Set[String] =
-    groupBy.toSet ++ measures.flatMap(_.attrs) ++ filters.map(_.attr)
+  /** Every attribute the query touches (group-by and measures). */
+  def attrs: Set[String] = groupBy.toSet ++ measures.flatMap(_.attrs)
 
   /** Output column names, group-by attributes first. */
   def outputColumns: Seq[String] = groupBy ++ measures.map(_.name)

@@ -1,7 +1,7 @@
 package repro.core.query
 
 import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.expr
 
 /** Comparison operators supported in CART node conditions (paper §3). */
 sealed abstract class CmpOp(val sym: String)
@@ -16,23 +16,16 @@ object CmpOp {
 
 /** A single-attribute predicate `attr op value`.
   *
-  * CART path conditions are conjunctions of these; because each references one
-  * attribute, they push down to every base relation containing the attribute,
-  * which is how the engine evaluates filtered batches without changing the
-  * view-decomposition machinery.
+  * CART path conditions are conjunctions of these, each evaluated as its
+  * [[indicator]] factor inside every measure: SUM(Π f · 1[cond]) over D is the
+  * SUM over the rows of D that satisfy cond.
   */
 final case class Predicate(attr: String, op: CmpOp, value: Long) {
-  def column: Column = {
-    val c = col(attr).cast("long")
-    op match {
-      case CmpOp.Le => c <= value
-      case CmpOp.Ge => c >= value
-      case CmpOp.Eq => c === value
-      case CmpOp.Ne => c =!= value
-      case CmpOp.Lt => c < value
-      case CmpOp.Gt => c > value
-    }
-  }
+  /** Spark parses the SQL that DuckDB runs: one rendering for both engines. */
+  def column: Column = expr(sql)
+
+  /** The 0/1 factor of this predicate, applied at the attribute's owner. */
+  def indicator: Factor = Factor(attr, ScalarFn.Indicator(op, value))
 
   /** Whether the value `x` of `attr` satisfies the predicate: [[column]]
     * evaluated on the driver.

@@ -46,6 +46,15 @@ object ScalarFn {
     def tag: String = s"mod${m}_$off"
   }
 
+  /** f(x) = 1 if `x op value` holds, else 0 ([[Predicate.indicator]]). The tag
+    * records op and value, so two conditions never share an aggregate column.
+    */
+  final case class Indicator(op: CmpOp, value: Long) extends ScalarFn {
+    def column(attr: String): Column = Predicate(attr, op, value).column.cast("double")
+    def sql(attr: String): String = s"CAST(${Predicate(attr, op, value).sql} AS DOUBLE)"
+    def tag: String = s"1[${op.sym}$value]"
+  }
+
   /** The paper's g(item): any numeric UDF over a key attribute. */
   val G: ScalarFn = ModShift(97, 3)
   /** The paper's h(date): any numeric UDF over a date attribute. */

@@ -33,8 +33,7 @@ object SqlRender {
   /** Full SELECT for an [[AggQuery]] over the natural join of the tree. */
   def querySql(tree: JoinTree, q: AggQuery): String = {
     val select = (q.groupBy ++ q.measures.map(_.sql)).mkString(", ")
-    val where = if (q.filters.isEmpty) "" else " WHERE " + q.filters.map(_.sql).mkString(" AND ")
     val group = if (q.groupBy.isEmpty) "" else " GROUP BY " + q.groupBy.mkString(", ")
-    s"SELECT $select FROM ${fromClause(tree)}$where$group"
+    s"SELECT $select FROM ${fromClause(tree)}$group"
   }
 }

@@ -25,6 +25,8 @@ object RootAssignment {
   /** Root for every query of a batch, honouring explicit overrides. */
   def assign(tree: JoinTree, queries: Seq[AggQuery],
              overrides: Map[String, String] = Map.empty): Map[String, String] = {
+    val unknown = overrides.keySet -- queries.map(_.name)
+    require(unknown.isEmpty, s"root overrides name no query of the batch: ${unknown.toSeq.sorted.mkString(", ")}")
     queries.map { q =>
       val r = overrides.getOrElse(q.name, choose(tree, q))
       require(tree.relationByName.contains(r), s"root override $r for ${q.name} is not a relation")

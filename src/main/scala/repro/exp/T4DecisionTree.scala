@@ -51,12 +51,11 @@ object T4DecisionTree {
     }
     val sampleSize = math.min(24, allConds.size)
     val sampled = (0 until sampleSize).map(i => allConds(i * allConds.size / sampleSize))
+    val global = AggQuery("cond", Nil,
+      Seq(Measure.count("cnt"), Measure.sum("sy", label), Measure.sumSquare("sy2", label)))
     val (_, tSample) = Timing.timed {
       sampled.foreach { cond =>
-        val q = AggQuery("cond", Nil,
-          Seq(Measure.count("cnt"), Measure.sum("sy", label), Measure.sumSquare("sy2", label)),
-          Seq(cond))
-        Baselines.aggOver(Baselines.joinAll(ds.tree, ds.tables), q).collect()
+        Baselines.aggOver(Baselines.joinAll(ds.tree, ds.tables).where(cond.column), global).collect()
       }
     }
     val tPerCondition = tSample / sampleSize * allConds.size
@@ -80,8 +79,8 @@ object T4DecisionTree {
           Timing.fmt(tPerFeature), f"${tPerFeature / tLmfao}%.1fx"),
         Seq("root split", s"PerCondition (extrapolated from $sampleSize)", allConds.size.toString,
           conceptual.toString, Timing.fmt(tPerCondition), f"${tPerCondition / tLmfao}%.1fx"),
-        Seq(s"depth-2 tree (${trained.nodes.size} node batches)", "LMFAO", "-", "-",
-          Timing.fmt(tTree), "-"),
+        Seq(s"depth-2 tree (${trained.nodes.size} nodes in ${trained.root.depth + 1} LMFAO plans)",
+          "LMFAO", "-", "-", Timing.fmt(tTree), "-"),
       ),
       notes = Seq(
         s"Best split (LMFAO and baseline agree): ${lmfaoSplit.map(s => s.predicate.sql).getOrElse("none")}.",

@@ -7,7 +7,6 @@ import repro.core.query.Predicate
 import repro.core.schema.JoinTree
 import repro.core.viewgen.ViewGeneration
 import repro.ml.tree.SplitFinder.negate
-import repro.util.Concurrently
 
 /** A learned regression tree node: either a leaf prediction or a split with
   * the left child satisfying `split.predicate`.
@@ -32,10 +31,10 @@ sealed trait TreeNode {
 final case class Leaf(prediction: Double) extends TreeNode
 final case class Inner(split: Split, left: TreeNode, right: TreeNode) extends TreeNode
 
-/** CART over the non-materialised join D: every tree node runs one LMFAO
-  * batch (one grouped query per feature under the node's path condition) and
-  * picks the variance-minimising split (paper §3). The two children of a
-  * split are grown at the same time; the result does not depend on it.
+/** CART over the non-materialised join D, grown level by level: all nodes
+  * of one depth form one LMFAO batch (one grouped query per feature and node,
+  * each under its node's path condition), and each node then picks its
+  * variance-minimising split (paper §3). A depth-d tree is d + 1 engine runs.
   */
 object DecisionTree {
 
@@ -46,54 +45,68 @@ object DecisionTree {
 
   def train(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
             label: String, maxDepth: Int, minLeaf: Double = 1.0): Trained = {
-    // The root batch's views stay cached for the whole tree: every node batch
-    // below reads those whose subtree holds no split attribute.
+    // The root batch's views stay cached for the whole tree: every level
+    // batch below reads those whose subtree holds no owner of a split attribute.
     val rootBatch = NodeBatch.queries(features, label, Nil)
     val root = LmfaoExec.run(tables, ViewGeneration.plan(tree, rootBatch))
-    val parallelism = tables.values.head.sparkSession.sparkContext.defaultParallelism
 
-    /** The subtree under `pathConds` and its node traces in pre-order. */
-    def grow(pathConds: Seq[Predicate], depth: Int): (TreeNode, Seq[NodeTrace]) = {
-      val stats =
-        if (pathConds.isEmpty) NodeBatch.stats(rootBatch, root.queryResults)
-        else nodeStats(tree, tables, features, label, pathConds, reuse = Some(root))
-      val first = stats(features.head.attr)
-      val n = first.map(_.count).sum
-      val sy = first.map(_.sumY).sum
-      val sy2 = first.map(_.sumY2).sum
-      if (n <= 0) return (Leaf(0.0), Seq(NodeTrace(pathConds, 0, 0, None)))
-      val mean = sy / n
-      val nodeVar = SplitFinder.variance(n, sy, sy2)
-      val split =
-        if (depth >= maxDepth || n < 2 * minLeaf || nodeVar <= 0) None
-        else SplitFinder.bestSplit(stats, features, minLeaf).filter(_.score < nodeVar)
-      val trace = NodeTrace(pathConds, n, nodeVar, split)
-      split match {
-        case None => (Leaf(mean), Seq(trace))
-        case Some(s) =>
-          // The two children are independent node batches: grow them at the same time.
-          val Seq((left, lt), (right, rt)) = Concurrently.all(parallelism)(Seq(
-            () => grow(pathConds :+ s.predicate, depth + 1),
-            () => grow(pathConds :+ negate(s.predicate), depth + 1)))
+    /** Grow the nodes of one level, each given by its path condition and
+      * statistics: decide every split, grow all children as the next level,
+      * and return each node's subtree with its node traces in pre-order.
+      */
+    def grow(level: Seq[(Seq[Predicate], Map[String, Seq[ValueStats]])],
+             depth: Int): Seq[(TreeNode, Seq[NodeTrace])] = {
+      val decided = level.map { case (pathConds, stats) =>
+        val first = stats(features.head.attr)
+        val n = first.map(_.count).sum
+        val sy = first.map(_.sumY).sum
+        val sy2 = first.map(_.sumY2).sum
+        // An empty node has variance 0, so it never splits, and predicts 0.
+        val nodeVar = SplitFinder.variance(n, sy, sy2)
+        val split =
+          if (depth >= maxDepth || n < 2 * minLeaf || nodeVar <= 0) None
+          else SplitFinder.bestSplit(stats, features, minLeaf).filter(_.score < nodeVar)
+        (NodeTrace(pathConds, n, nodeVar, split), if (n > 0) sy / n else 0.0)
+      }
+      val children = decided.flatMap { case (t, _) =>
+        t.chosen.toSeq.flatMap(s => Seq(t.pathConds :+ s.predicate, t.pathConds :+ negate(s.predicate)))
+      }
+      val below =
+        if (children.isEmpty) Iterator.empty
+        else grow(children.zip(levelStats(tree, tables, features, label, children, Some(root))), depth + 1).iterator
+      decided.map { case (trace, prediction) =>
+        trace.chosen.fold[(TreeNode, Seq[NodeTrace])]((Leaf(prediction), Seq(trace))) { s =>
+          val ((left, lt), (right, rt)) = (below.next(), below.next())
           (Inner(s, left, right), trace +: (lt ++ rt))
+        }
       }
     }
 
     try {
-      val (node, traces) = grow(Nil, 0)
+      val Seq((node, traces)) = grow(Seq(Nil -> NodeBatch.stats(rootBatch, root.queryResults)), 0)
       Trained(node, traces)
     } finally root.cleanup()
   }
 
   /** Run the node batch through the LMFAO engine and collect per-feature
-    * value statistics; `reuse` lends the views of an earlier node batch
-    * (see `LmfaoExec.run`).
+    * value statistics; `reuse` lends the views of an earlier batch (see
+    * `LmfaoExec.run`).
     */
   def nodeStats(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
                 label: String, pathConds: Seq[Predicate],
-                reuse: Option[LmfaoExec.Result] = None): Map[String, Seq[ValueStats]] = {
-    val batch = NodeBatch.queries(features, label, pathConds)
-    val result = LmfaoExec.run(tables, ViewGeneration.plan(tree, batch), reuse = reuse)
-    try NodeBatch.stats(batch, result.queryResults) finally result.cleanup()
+                reuse: Option[LmfaoExec.Result] = None): Map[String, Seq[ValueStats]] =
+    levelStats(tree, tables, features, label, Seq(pathConds), reuse).head
+
+  /** The node batches of several nodes as one LMFAO run: node i's queries are
+    * renamed `n<i>_node_<attr>`, and its statistics come back at position i.
+    */
+  private def levelStats(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
+                         label: String, paths: Seq[Seq[Predicate]],
+                         reuse: Option[LmfaoExec.Result]): Seq[Map[String, Seq[ValueStats]]] = {
+    val batches = paths.zipWithIndex.map { case (pathConds, i) =>
+      NodeBatch.queries(features, label, pathConds).map(q => q.copy(name = s"n${i}_${q.name}"))
+    }
+    val result = LmfaoExec.run(tables, ViewGeneration.plan(tree, batches.flatten), reuse = reuse)
+    try batches.map(NodeBatch.stats(_, result.queryResults)) finally result.cleanup()
   }
 }

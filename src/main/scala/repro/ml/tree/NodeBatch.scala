@@ -17,13 +17,17 @@ final case class TreeFeature(attr: String, kind: FeatureKind)
 /** The aggregate batch CART needs at one tree node (paper §3): for every
   * feature Xj, the query
   *
-  *   SELECT Xj, SUM(1), SUM(Y), SUM(Y²) FROM D WHERE cond GROUP BY Xj
+  *   SELECT Xj, SUM(1[cond]), SUM(Y·1[cond]), SUM(Y²·1[cond]) FROM D GROUP BY Xj
   *
   * where cond is the conjunction of threshold conditions on the path from the
-  * root. One grouped query per feature provides the variance of *every*
+  * root, one indicator factor per condition (as in the SIGMOD'19 companion
+  * paper). One grouped query per feature provides the variance of *every*
   * candidate split on that feature at once (via prefix sums), which is how
   * LMFAO covers the paper's thousands of per-(feature, threshold) aggregates
   * with a small grouped batch.
+  *
+  * A value of Xj that cond excludes keeps its row, with count and sums 0; it
+  * never changes the chosen split (see DESIGN.md, "CART predicates").
   */
 object NodeBatch {
 
@@ -36,8 +40,7 @@ object NodeBatch {
           Measure.count(s"cnt_${f.attr}"),
           Measure.sum(s"sy_${f.attr}", label),
           Measure.sumSquare(s"sy2_${f.attr}", label),
-        ),
-        filters = pathConds,
+        ).map(m => m.copy(factors = m.factors ++ pathConds.map(_.indicator))),
       )
     }
 

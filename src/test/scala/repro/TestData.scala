@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.core.exec.LmfaoExec
 import repro.core.group.DependencyGraph
-import repro.core.query.{AggQuery, SqlRender}
+import repro.core.query.{AggQuery, Predicate, SqlRender}
 import repro.core.schema.{JoinTree, Relation}
 import repro.core.viewgen.{Plan, ViewGeneration, ViewId}
 
@@ -66,6 +66,12 @@ object TestData {
     val tree = JoinTree(Seq(Relation("R", Seq("g", "x", "y"))), Nil)
     (tree, Map("R" -> rows.toDF("g", "x", "y")))
   }
+
+  /** `q` over the rows of D that satisfy every condition: each measure times
+    * the conditions' indicator factors, as CART's node batches build them.
+    */
+  def where(q: AggQuery, conds: Predicate*): AggQuery =
+    q.copy(measures = q.measures.map(m => m.copy(factors = m.factors ++ conds.map(_.indicator))))
 
   /** Micro Favorita (~6k sales rows) for end-to-end oracle tests. */
   def favoritaMicro(spark: SparkSession): (JoinTree, Map[String, DataFrame]) =

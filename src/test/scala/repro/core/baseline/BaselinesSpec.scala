@@ -65,7 +65,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("aggOver applies filters") {
     val d = Baselines.joinAll(chainTree, chainTables)
-    val q = AggQuery("q", Seq("b"), Seq(Measure.count("c")), Seq(Predicate("a", CmpOp.Le, 4)))
+    val q = TestData.where(AggQuery("q", Seq("b"), Seq(Measure.count("c"))), Predicate("a", CmpOp.Le, 4))
     Oracle.assertEquivalent(Baselines.aggOver(d, q),
       SqlRender.querySql(chainTree, q), chainTables.toSeq: _*)
   }

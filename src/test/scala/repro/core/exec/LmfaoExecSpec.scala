@@ -29,7 +29,7 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   private lazy val (singleTree, singleTables) = TestData.single(spark)
 
   private def q(name: String, groupBy: Seq[String], measures: Seq[Measure],
-                filters: Seq[Predicate] = Nil) = AggQuery(name, groupBy, measures, filters)
+                conds: Seq[Predicate] = Nil) = TestData.where(AggQuery(name, groupBy, measures), conds: _*)
 
   // Six queries rooted at the middle relation B: one output group with two
   // passes (GROUP BY b and the global one) of three queries each, over B
@@ -163,7 +163,7 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
         Seq(Predicate("a", CmpOp.Ge, 2), Predicate("d", CmpOp.Lt, 8)))))
   }
 
-  test("filter excluding every tuple yields the empty/null result") {
+  test("a condition excluding every tuple yields zero sums in every group") {
     Check.lmfaoVsDuck(chainTree, chainTables, Seq(
       q("grouped", Seq("b"), Seq(Measure.count("c")), Seq(Predicate("a", CmpOp.Gt, 999)))))
     Check.lmfaoVsDuck(chainTree, chainTables, Seq(
@@ -213,14 +213,6 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       Seq(q("q", Nil, Seq(Measure.count("c")))))
     val broken = chainTables.updated("B", chainTables("B").drop("c"))
     assertThrows[IllegalArgumentException](LmfaoExec.run(broken, plan))
-  }
-
-  test("mixed filter sets in one batch are rejected") {
-    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, Seq(
-      q("q1", Nil, Seq(Measure.count("c1")), Seq(Predicate("a", CmpOp.Le, 3))),
-      q("q2", Nil, Seq(Measure.count("c2"))),
-    ))
-    assertThrows[IllegalArgumentException](LmfaoExec.run(chainTables, plan))
   }
 
   test("result column order matches the query's outputColumns") {
@@ -274,10 +266,9 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("AggQuery.collect reads keys as Long and a NULL global sum as 0.0") {
-    val none = Seq(Predicate("a", CmpOp.Gt, 999))
     val batch = Seq(
       q("grouped", Seq("a", "b"), Seq(Measure.count("c"), Measure.sum("s", "d"))),
-      q("empty", Nil, Seq(Measure.count("c")), none))
+      q("empty", Nil, Seq(Measure.count("c"))))
     val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, batch.take(1))
     val res = LmfaoExec.run(chainTables, plan)
     val rows = AggQuery.collect(batch.head, res.queryResults("grouped"))
@@ -287,7 +278,8 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(rows.nonEmpty && rows == expected.toSeq)
     res.cleanup()
     val emptyPlan = repro.core.viewgen.ViewGeneration.plan(chainTree, batch.drop(1))
-    val emptyRes = LmfaoExec.run(chainTables, emptyPlan)
+    // No row of A joins: the global SUM over an empty D is NULL.
+    val emptyRes = LmfaoExec.run(chainTables.updated("A", chainTables("A").where(lit(false))), emptyPlan)
     assert(AggQuery.collect(batch(1), emptyRes.queryResults("empty")) == Seq(LocalRow(Nil, Seq(0.0))))
     emptyRes.cleanup()
   }
@@ -326,16 +318,33 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     } finally first.cleanup()
   }
 
-  test("a filtered relation blocks reuse of every view above it") {
+  test("a path condition blocks reuse of every view above its attribute's owner") {
     val plan = ViewGeneration.plan(chainTree, mixedRoots)
     val first = LmfaoExec.run(chainTables, plan)
-    try for (attr <- Seq("a", "b", "c", "d")) withClue(s"filter on $attr: ") {
-      // A CART path condition: pushed to every relation holding the attribute.
-      val batch = mixedRoots.map(_.copy(filters = Seq(Predicate(attr, CmpOp.Ne, 3))))
-      val holders = chainTree.relations.filter(_.has(attr)).map(_.name).toSet
+    try for (attr <- Seq("a", "b", "c", "d")) withClue(s"condition on $attr: ") {
+      // A CART path condition: one indicator factor, applied at the owner only.
+      val batch = mixedRoots.map(TestData.where(_, Predicate(attr, CmpOp.Ne, 3)))
       val reused = Check.lmfaoVsDuck(chainTree, chainTables, batch, reuse = Some(first))
-      assert(reused.nonEmpty && reused == avoiding(plan, holders))
+      assert(reused.nonEmpty && reused == avoiding(plan, Set(chainTree.owner(attr))))
     } finally first.cleanup()
+  }
+
+  test("conditions on one attribute with different thresholds never share an aggregate") {
+    // Two CART nodes per batch, as one tree level runs them. Both conditions
+    // sit at d's owner C, below the root A, so both travel in the merged
+    // views towards A; the indicator tags differ in op or value, so signature
+    // dedup keeps them apart.
+    for ((l, r) <- Seq(
+        (Predicate("d", CmpOp.Le, 3), Predicate("d", CmpOp.Gt, 3)),
+        (Predicate("d", CmpOp.Le, 3), Predicate("d", CmpOp.Le, 5)))) withClue(s"${l.sql} vs ${r.sql}: ") {
+      val batch = Seq(l, r).zipWithIndex.flatMap { case (p, i) =>
+        Seq(q(s"n${i}_byA", Seq("a"), Seq(Measure.count("c"), Measure.sum("s", "b")), Seq(p)),
+          q(s"n${i}_all", Nil, Seq(Measure.count("c")), Seq(p)))
+      }
+      val plan = ViewGeneration.plan(chainTree, batch)
+      assert(plan.views.exists(v => Seq(l, r).forall(p => v.aggs.exists(_.sig.contains(p.indicator.tag)))))
+      Check.lmfaoVsDuck(chainTree, chainTables, batch)
+    }
   }
 
   test("lent views stay cached until the lender's cleanup, and then nothing is left") {

@@ -67,7 +67,7 @@ class PropertyOracleSpec extends SparkSpec {
       a <- Gen.oneOf(attrs)
       op <- Gen.oneOf(CmpOp.Le, CmpOp.Ge, CmpOp.Eq, CmpOp.Ne, CmpOp.Lt, CmpOp.Gt)
       v <- Gen.choose(1L, 8L)
-    } yield (query.copy(filters = Seq(Predicate(a, op, v))), root)
+    } yield (TestData.where(query, Predicate(a, op, v)), root)
     (1 to Cases).foreach { i =>
       val (query, root) = sample(gen, 3000 + i)
       withClue(s"seed=${3000 + i} query=$query root=$root") {
@@ -95,7 +95,7 @@ class PropertyOracleSpec extends SparkSpec {
       (earlier, r0) <- queryGen(attrs, Seq("A", "B", "C"))
       (query, root) <- queryGen(attrs, Seq("A", "B", "C"))
       filter <- Gen.option(for { a <- Gen.oneOf(attrs); v <- Gen.choose(1L, 8L) } yield Predicate(a, CmpOp.Le, v))
-    } yield (earlier.copy(name = "e"), r0, query.copy(filters = filter.toSeq), root)
+    } yield (earlier.copy(name = "e"), r0, TestData.where(query, filter.toSeq: _*), root)
     val reused = (1 to Cases).map { i =>
       val (earlier, r0, query, root) = sample(gen, 5000 + i)
       withClue(s"seed=${5000 + i} earlier=$earlier query=$query root=$root") {

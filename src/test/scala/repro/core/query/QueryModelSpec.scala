@@ -86,7 +86,7 @@ class QueryModelSpec extends AnyFunSuite {
   }
 
   test("query attrs spans group-by, measures and filters") {
-    val q = AggQuery("q", Seq("g"), Seq(Measure.sum("s", "x")), Seq(Predicate("f", CmpOp.Le, 1)))
+    val q = AggQuery("q", Seq("g"), Seq(Measure("s", Seq(Factor("x"), Predicate("f", CmpOp.Le, 1).indicator))))
     assert(q.attrs == Set("g", "x", "f"))
   }
 

@@ -40,12 +40,12 @@ class SqlRenderSpec extends AnyFunSuite {
       "SELECT a, SUM(CAST(d AS DOUBLE)) AS s FROM A JOIN B USING (b) JOIN C USING (c) GROUP BY a")
   }
 
-  test("querySql renders WHERE for filters") {
-    val q = AggQuery("q", Nil, Seq(Measure.count("c")),
-      Seq(Predicate("a", CmpOp.Le, 3), Predicate("d", CmpOp.Eq, 7)))
+  test("querySql renders conditions as 0/1 factors of the measure") {
+    val q = AggQuery("q", Nil, Seq(
+      Measure("c", Seq(Predicate("a", CmpOp.Le, 3).indicator, Predicate("d", CmpOp.Eq, 7).indicator))))
     assert(SqlRender.querySql(chain, q) ==
-      "SELECT SUM(CAST(1 AS DOUBLE)) AS c FROM A JOIN B USING (b) JOIN C USING (c) " +
-        "WHERE CAST(a AS BIGINT) <= 3 AND CAST(d AS BIGINT) = 7")
+      "SELECT SUM(CAST(CAST(a AS BIGINT) <= 3 AS DOUBLE) * CAST(CAST(d AS BIGINT) = 7 AS DOUBLE)) AS c " +
+        "FROM A JOIN B USING (b) JOIN C USING (c)")
   }
 
   test("querySql renders multiple measures comma-separated") {

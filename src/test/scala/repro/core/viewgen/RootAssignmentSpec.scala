@@ -49,6 +49,13 @@ class RootAssignmentSpec extends AnyFunSuite {
       RootAssignment.assign(tree, Seq(q), Map("q" -> "Nope")))
   }
 
+  test("assign rejects overrides that name no query of the batch") {
+    val q = AggQuery("q", Nil, Seq(Measure.count("c")))
+    val e = intercept[IllegalArgumentException](
+      RootAssignment.assign(tree, Seq(q), Map("q" -> "Oil", "typo" -> "Sales")))
+    assert(e.getMessage.contains("typo"))
+  }
+
   test("the demo batch gets the paper's root assignment") {
     val roots = RootAssignment.assign(tree, Favorita.demoQueries)
     assert(roots("Q1") == "Sales")

@@ -1,6 +1,6 @@
 package repro.data
 
-import repro.{Check, SparkSpec}
+import repro.{Check, SparkSpec, TestData}
 import repro.core.baseline.Baselines
 import repro.core.query.{AggQuery, CmpOp, Measure, Predicate}
 
@@ -45,8 +45,8 @@ class RetailerSpec extends SparkSpec {
 
   test("weather predicates filter correctly through the engine") {
     Check.lmfaoVsDuck(tree, tables, Seq(
-      AggQuery("rainy", Seq("rgn"), Seq(Measure.sum("s_units", "inventoryunits")),
-        Seq(Predicate("rain", CmpOp.Eq, 1), Predicate("maxtemp", CmpOp.Ge, 20)))))
+      TestData.where(AggQuery("rainy", Seq("rgn"), Seq(Measure.sum("s_units", "inventoryunits"))),
+        Predicate("rain", CmpOp.Eq, 1), Predicate("maxtemp", CmpOp.Ge, 20))))
   }
 
   test("a covariance-style product across relations matches DuckDB") {

@@ -61,10 +61,6 @@ class SigmaBatchSpec extends AnyFunSuite {
     assert(qs.exists(_.name == "sigma_p_y_y"))
   }
 
-  test("no filters in a sigma batch") {
-    assert(SigmaBatch.queries(f).forall(_.filters.isEmpty))
-  }
-
   test("the Retailer workload matches the formula (86 queries)") {
     val w = repro.exp.Workloads.retailerLr
     assert(SigmaBatch.expectedCount(w) == 86)

@@ -72,14 +72,21 @@ class DecisionTreeSpec extends SparkSpec {
   test("nodeStats over a join equals stats over the materialised join") {
     val (tree, tables) = TestData.chain(spark)
     val features = Seq(TreeFeature("b", FeatureKind.Continuous), TreeFeature("c", FeatureKind.Categorical))
-    val stats = DecisionTree.nodeStats(tree, tables, features, "d", Nil)
     val d = repro.core.baseline.Baselines.joinAll(tree, tables).collect()
-    features.foreach { f =>
-      val expected = d.groupBy(_.getAs[Long](f.attr)).map { case (v, rows) =>
-        val ys = rows.map(_.getAs[Long]("d").toDouble)
-        ValueStats(v, rows.length, ys.sum, ys.map(y => y * y).sum)
-      }.toSeq.sortBy(_.value)
-      assert(stats(f.attr).sortBy(_.value) == expected, s"stats mismatch for ${f.attr}")
+    for (conds <- Seq(Nil, Seq(Predicate("a", CmpOp.Le, 4), Predicate("c", CmpOp.Ne, 2)))) withClue(conds) {
+      val stats = DecisionTree.nodeStats(tree, tables, features, "d", conds)
+      val kept = d.filter(r => conds.forall(p => p.holds(r.getAs[Long](p.attr))))
+      features.foreach { f =>
+        val expected = kept.groupBy(_.getAs[Long](f.attr)).map { case (v, rows) =>
+          val ys = rows.map(_.getAs[Long]("d").toDouble)
+          ValueStats(v, rows.length, ys.sum, ys.map(y => y * y).sum)
+        }.toSeq.sortBy(_.value)
+        // A value the condition excludes keeps a row with count and sums 0.
+        val (present, excluded) = stats(f.attr).sortBy(_.value).partition(_.count > 0)
+        assert(present == expected, s"stats mismatch for ${f.attr}")
+        assert(excluded.forall(s => s.sumY == 0 && s.sumY2 == 0), s"nonzero sums in ${f.attr}: $excluded")
+      }
+      assert(stats.values.flatten.exists(_.count == 0) == conds.nonEmpty)
     }
   }
 
@@ -132,13 +139,16 @@ class DecisionTreeSpec extends SparkSpec {
 
   test("Predicate.holds agrees with Predicate.column evaluated by Spark") {
     import spark.implicits._
-    val preds = Seq(CmpOp.Le, CmpOp.Ge, CmpOp.Eq, CmpOp.Ne, CmpOp.Lt, CmpOp.Gt).map(Predicate("x", _, 5))
-    // Values below, equal to and above the constant.
-    val rows = Seq(4L, 5L, 6L).toDF("x")
-      .select(org.apache.spark.sql.functions.col("x") +: preds.map(_.column): _*).collect()
-    assert(rows.map(_.getLong(0)).sorted.toSeq == Seq(4L, 5L, 6L))
-    for (r <- rows; (p, i) <- preds.zipWithIndex)
-      assert(r.getBoolean(i + 1) == p.holds(r.getLong(0)), s"${p.sql} at x = ${r.getLong(0)}")
+    // Favorita's `date` is an SQL keyword; the column parses it as an attribute.
+    for (attr <- Seq("x", "date")) {
+      val preds = Seq(CmpOp.Le, CmpOp.Ge, CmpOp.Eq, CmpOp.Ne, CmpOp.Lt, CmpOp.Gt).map(Predicate(attr, _, 5))
+      // Values below, equal to and above the constant.
+      val rows = Seq(4L, 5L, 6L).toDF(attr)
+        .select(org.apache.spark.sql.functions.col(attr) +: preds.map(_.column): _*).collect()
+      assert(rows.map(_.getLong(0)).sorted.toSeq == Seq(4L, 5L, 6L))
+      for (r <- rows; (p, i) <- preds.zipWithIndex)
+        assert(r.getBoolean(i + 1) == p.holds(r.getLong(0)), s"${p.sql} at $attr = ${r.getLong(0)}")
+    }
   }
 
   test("node batches that reuse the root's views grow the same tree and leave nothing cached") {
@@ -183,7 +193,7 @@ class DecisionTreeSpec extends SparkSpec {
       }
     }
     val (root, traces) = grow(Nil, 0)
-    // The root and one of its children split: sibling batches ran at the same time.
+    // The root and one of its children split: three level plans grew the tree.
     assert(root.depth == 2 && traces.size == 5)
     assert(DecisionTree.train(tree, tables, features, "d", maxDepth, minLeaf) == DecisionTree.Trained(root, traces))
   }

@@ -27,7 +27,7 @@ class NodeBatchSpec extends AnyFunSuite {
   test("path conditions are attached to every query of the batch") {
     val conds = Seq(Predicate("x", CmpOp.Le, 3), Predicate("g", CmpOp.Ne, 2))
     val qs = NodeBatch.queries(features, "y", conds)
-    assert(qs.forall(_.filters == conds))
+    assert(qs.forall(_.measures.forall(_.factors.takeRight(2) == conds.map(_.indicator))))
   }
 
   test("conceptual aggregates: continuous d values -> 3(d-1)") {
