@@ -9,7 +9,8 @@ import org.apache.spark.sql.types.StructType
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.group.{DependencyGraph, ViewGroup}
-import repro.core.query.SumOfProducts.{groupedSum, product}
+import repro.core.query.SumOfProducts.{groupedSum, groupingSets, product, SetColumn}
+import repro.core.schema.JoinTree
 import repro.core.viewgen.{Plan, ViewId}
 import repro.util.Concurrently
 
@@ -17,12 +18,23 @@ import repro.util.Concurrently
   *
   * Each multi-output view group becomes one join of the node's relation with
   * the group's incoming view frames; every merged view of the group is a
-  * single grouped SUM-of-products pass over that shared frame, and *all query
-  * outputs of the group that share a group-by list are combined into one
-  * such pass* (the paper's multi-output plans: e.g. the 36 scalar Σ
-  * aggregates of a regression batch become one job). Every view is
-  * materialised (cached), exactly as LMFAO's engine computes and stores each
-  * view; Catalyst/Tungsten play the role of the paper's code-generation layer.
+  * single grouped SUM-of-products pass over that frame, and *all query
+  * outputs of the group are combined into one pass*, with one grouping set
+  * per distinct group-by list (the paper's multi-output plans: e.g. the 86
+  * queries of Retailer's Σ batch become one job). Every view is materialised
+  * (cached), exactly as LMFAO's engine computes and stores each view;
+  * Catalyst/Tungsten play the role of the paper's code-generation layer.
+  *
+  * A view whose keys include the declared key of its node's relation is a
+  * projection of the frame: a `select` of its keys and products, with no
+  * aggregate and no shuffle, coalesced to one partition as adaptive
+  * execution coalesces the aggregated views. This is sound because the frame
+  * has at most one row per value of the node's key plus the carried keys of
+  * its incoming views: the relation has one row per key value, and an
+  * incoming view has one row per value of its keys, whose attributes other
+  * than its join keys are group-by attributes that the view generation also
+  * carries on the outgoing view, or that the join keys fix. So every group of
+  * the aggregate would hold exactly one row.
   *
   * An incoming view is broadcast when its relation is smaller than the
   * group's node by `JoinTree.sizes`: the view has at most |R_from| rows and
@@ -86,7 +98,7 @@ object LmfaoExec {
     *
     * @param tables       one DataFrame per relation of the plan's join tree
     * @param persistViews cache every computed view, and each group's join
-    *                     frame when more than one pass reads it (on by default)
+    *                     frame when more than one view reads it (on by default)
     * @param reuse        an earlier result of the same model whose views may
     *                     be read instead of computed
     */
@@ -126,47 +138,55 @@ object LmfaoExec {
           require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
           acc.join(side, keys.toSeq.sorted, "inner")
         }
-        // One aggregate pass per computed view plus one per distinct output
-        // group-by; share the join frame when there is more than one pass.
-        val outputPasses = g.outputs.map(_.query.groupBy).distinct
+        // One aggregate pass per computed view; share the join frame when
+        // more than one view reads it.
         val shared =
-          if (persistViews && views.size + outputPasses.size > 1 && g.incoming.nonEmpty) cache(frame)
-          else frame
+          if (persistViews && views.size > 1 && g.incoming.nonEmpty) cache(frame) else frame
 
         // Materialise every view, as LMFAO itself does: empirically the cached
         // small aggregates beat re-inlining their subplans into each consumer
         // (and they are read by the dependency-graph successors).
         views.foreach { v =>
-          val df = groupedSum(shared, v.id.keys,
-            v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName))))
+          val sums = v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName)))
+          val df =
+            if (isProjection(plan.tree, v.id))
+              shared.select(v.id.keys.map(col) ++ sums.map { case (name, p) => p.as(name) }: _*).coalesce(1)
+            else groupedSum(shared, v.id.keys, sums)
           viewFrames(v.id) =
             if (persistViews) df.persist(StorageLevel.MEMORY_AND_DISK) else df
         }
 
-        // Multi-output pass: all queries of the group sharing a group-by list
-        // are evaluated by one aggregate job, measure m of the i-th as o<i>_m.
-        outputPasses.map { gb =>
-          val outs = g.outputs.filter(_.query.groupBy == gb).zipWithIndex
-          outs -> groupedSum(shared, gb, outs.flatMap { case (o, i) =>
+        // Multi-output pass: all queries of the group are evaluated by one
+        // aggregate job, one grouping set per distinct group-by list, the
+        // measure m of the group's i-th output as o<i>_m.
+        val sets = g.outputs.map(_.query.groupBy).distinct
+        val outs = g.outputs.zipWithIndex.map { case (o, i) => (o, i, sets.indexOf(o.query.groupBy)) }
+        if (outs.isEmpty) None
+        else Some(outs -> groupingSets(shared, sets.map { gb =>
+          gb -> outs.filter(_._1.query.groupBy == gb).flatMap { case (o, i, _) =>
             o.query.measures.zip(o.terms).map { case (m, t) =>
               s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
             }
-          })
-        }
+          }
+        }))
       }
 
-      // Each pass is collected once; each query's columns are then sliced on
-      // the driver, in pass order.
+      // Each pass is collected once; each query's rows are then picked by set
+      // and its columns sliced on the driver, in pass order.
       val collected = Concurrently.all(spark.sparkContext.defaultParallelism)(
         passes.map { case (_, combined) => () => combined.collect().toSeq })
       passes.zip(collected).foreach { case ((outs, combined), rows) =>
-        outs.foreach { case (o, i) =>
+        val setIdx = combined.schema.fieldIndex(SetColumn)
+        val bySet = rows.groupBy(_.getInt(setIdx))
+        outs.foreach { case (o, i, set) =>
           val gb = o.query.groupBy
           val cols = gb.map(k => k -> k) ++ o.query.measures.map(m => s"o${i}_${m.name}" -> m.name)
           val idx = cols.map { case (c, _) => combined.schema.fieldIndex(c) }
           val schema = StructType(cols.map { case (c, name) => combined.schema(c).copy(name = name) })
-          queryResults(o.query.name) =
-            spark.createDataFrame(rows.map(r => Row.fromSeq(idx.map(r.get))).asJava, schema)
+          val own = bySet.getOrElse(set, Nil).map(r => Row.fromSeq(idx.map(r.get)))
+          // A global set over an empty frame has no row; its SUMs are NULL.
+          val data = if (own.isEmpty && gb.isEmpty) Seq(Row.fromSeq(idx.map(_ => null))) else own
+          queryResults(o.query.name) = spark.createDataFrame(data.asJava, schema)
         }
       }
     } catch {
@@ -176,6 +196,14 @@ object LmfaoExec {
     }
 
     Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq, plan, tables, lent.keySet)
+  }
+
+  /** Whether view `id` is computed as a projection of its group's frame:
+    * its keys include its source relation's declared key.
+    */
+  def isProjection(tree: JoinTree, id: ViewId): Boolean = {
+    val key = tree.relationByName(id.from).key
+    key.nonEmpty && key.forall(id.keys.contains)
   }
 
   /** The views of `earlier` that `plan` may read instead of computing (the

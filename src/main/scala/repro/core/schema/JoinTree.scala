@@ -10,7 +10,9 @@ package repro.core.schema
   *
   * `sizes` are cardinality hints (paper: "cardinality constraints") consumed
   * by the root-assignment heuristic and by the engine's join strategy (a view
-  * from a smaller relation is broadcast); they never affect answers.
+  * from a smaller relation is broadcast); they never affect answers. The
+  * relations' declared keys, by contrast, must hold: a broken key gives wrong
+  * answers.
   */
 final case class JoinTree(
     relations: Seq[Relation],
@@ -96,6 +98,23 @@ final case class JoinTree(
   /** Attributes visible in the subtree on `child`'s side of (child, parent). */
   def subtreeAttrs(child: String, parent: String): Set[String] =
     subtreeNodes(child, parent).flatMap(n => relationByName(n).attrSet)
+
+  /** Attributes on `child`'s side of the (child, parent) edge that the edge's
+    * join keys fix: the join keys themselves, plus every attribute of each
+    * relation n reached over an edge (n, from) whose declared key lies within
+    * joinKeys(n, from), since at most one row of n matches a value of those
+    * keys. The walk goes on from such an n to its other neighbours and stops
+    * at a relation without such a key.
+    */
+  def determined(child: String, parent: String): Set[String] = {
+    require(neighbors(child).contains(parent), s"($child,$parent) is not an edge")
+    def walk(n: String, from: String): Set[String] = {
+      val r = relationByName(n)
+      if (r.key.isEmpty || !r.key.forall(joinKeys(n, from).contains)) Set.empty
+      else r.attrSet ++ neighbors(n).filterNot(_ == from).flatMap(walk(_, n))
+    }
+    joinKeys(child, parent).toSet ++ walk(child, parent)
+  }
 
   /** Directed edges (child -> parent) in bottom-up order when the tree is
     * rooted at `root`: every edge appears after all edges below it.

@@ -6,11 +6,20 @@ import repro.core.schema.JoinTree
 /** Per-query root assignment (paper: "one join tree for all queries, but …
   * one root per query (using a simple heuristic)").
   *
-  * Heuristic: pick the relation that contains the most of the query's group-by
-  * attributes, so those attributes need not be carried through intermediate
-  * views; break ties by relation cardinality (larger relation wins — its
-  * tuples then never travel through a view), then by schema order for
-  * determinism. Queries without group-by go to the largest relation.
+  * Heuristic ([[choose]]): pick the relation that contains the most of the
+  * query's group-by attributes, so those attributes need not be carried
+  * through intermediate views; break ties by relation cardinality (larger
+  * relation wins — its tuples then never travel through a view), then by
+  * schema order for determinism. Queries without group-by go to the largest
+  * relation.
+  *
+  * [[assign]] then gathers a batch at its largest relation F: once `choose`
+  * roots some query at F, every query whose group-by attributes are in F or
+  * fixed by the join keys of an edge into F ([[JoinTree.determined]]) is
+  * rooted at F too. Its group-by attributes then ride along on views that
+  * have the same rows as without them, and all these queries share one scan
+  * of F. Without declared keys nothing moves: an attribute fixed by a join
+  * key of F is in F.
   */
 object RootAssignment {
 
@@ -27,8 +36,13 @@ object RootAssignment {
              overrides: Map[String, String] = Map.empty): Map[String, String] = {
     val unknown = overrides.keySet -- queries.map(_.name)
     require(unknown.isEmpty, s"root overrides name no query of the batch: ${unknown.toSeq.sorted.mkString(", ")}")
+    val chosen = queries.map(q => q.name -> choose(tree, q)).toMap
+    val fact = tree.relations.zipWithIndex.maxBy { case (r, i) => (tree.sizeOf(r.name), -i) }._1.name
+    val atFact = tree.relationByName(fact).attrSet ++ tree.neighbors(fact).flatMap(tree.determined(_, fact))
+    val gather = chosen.values.exists(_ == fact)
     queries.map { q =>
-      val r = overrides.getOrElse(q.name, choose(tree, q))
+      val r = overrides.getOrElse(q.name,
+        if (gather && q.groupBy.forall(atFact)) fact else chosen(q.name))
       require(tree.relationByName.contains(r), s"root override $r for ${q.name} is not a relation")
       q.name -> r
     }.toMap

@@ -52,6 +52,12 @@ final case class Plan(
   * directional view per join-tree edge (top-down from the query's root) and
   * merges views with identical (direction, group-by keys), deduplicating
   * aggregate columns by recursive signature.
+  *
+  * A view on edge (c → p) also carries every group-by attribute of the batch
+  * that the edge's join keys fix ([[JoinTree.determined]]). Such an attribute
+  * has one value per join-key value, so the view's rows do not change, and
+  * views that would differ only in such attributes (`V_Items→Sales(item)`
+  * and `(family,item)`) are one view.
   */
 object ViewGeneration {
 
@@ -73,6 +79,7 @@ object ViewGeneration {
 
     val roots = RootAssignment.assign(tree, queries, rootOverrides)
     val builders = mutable.LinkedHashMap.empty[ViewId, ViewBuilder]
+    val batchGroupBy = queries.flatMap(_.groupBy).toSet
 
     def builderFor(id: ViewId): ViewBuilder =
       builders.getOrElseUpdate(id, new ViewBuilder(id, builders.size))
@@ -87,7 +94,10 @@ object ViewGeneration {
         // at each directed edge so far
         val edgeRef = mutable.Map.empty[(String, String), (AggRef, String)]
         edges.foreach { case (c, p) =>
-          val keys = (tree.joinKeys(c, p).toSet ++ (groupBySet intersect tree.subtreeAttrs(c, p))).toSeq.sorted
+          // The batch's group-by attributes that the edge's join keys fix
+          // ride along on every view of the edge, with the same rows.
+          val keys = (tree.joinKeys(c, p).toSet ++ (groupBySet intersect tree.subtreeAttrs(c, p)) ++
+            (batchGroupBy intersect tree.determined(c, p))).toSeq.sorted
           val id = ViewId(c, p, keys)
           val children = tree.neighbors(c).filterNot(_ == p).map(x => edgeRef((x, c)))
           val childRefs = children.map(_._1)

@@ -12,15 +12,16 @@ import repro.core.schema.{JoinTree, Relation}
   * fact table; Transactions links Sales to Stores; Items, Oil and Holidays
   * hang off Sales. All attributes are integer-valued Longs so aggregate sums
   * are exact in double arithmetic (see DESIGN.md). Sizes scale with `sf`
-  * (SF=1 ≈ 6M sales rows).
+  * (SF=1 ≈ 6M sales rows). Every dimension relation declares its key; the
+  * generator builds each key from `range` ids, so the keys hold.
   */
 object Favorita {
   val sales: Relation        = Relation("Sales", Seq("date", "store", "item", "units", "promo"))
-  val transactions: Relation = Relation("Transactions", Seq("date", "store", "txns"))
-  val stores: Relation       = Relation("Stores", Seq("store", "city", "state", "cluster"))
-  val items: Relation        = Relation("Items", Seq("item", "family", "iclass", "perishable"))
-  val oil: Relation          = Relation("Oil", Seq("date", "oilprize"))
-  val holidays: Relation     = Relation("Holidays", Seq("date", "htype", "transferred"))
+  val transactions: Relation = Relation("Transactions", Seq("date", "store", "txns"), key = Seq("date", "store"))
+  val stores: Relation       = Relation("Stores", Seq("store", "city", "state", "cluster"), key = Seq("store"))
+  val items: Relation        = Relation("Items", Seq("item", "family", "iclass", "perishable"), key = Seq("item"))
+  val oil: Relation          = Relation("Oil", Seq("date", "oilprize"), key = Seq("date"))
+  val holidays: Relation     = Relation("Holidays", Seq("date", "htype", "transferred"), key = Seq("date"))
 
   val relations: Seq[Relation] = Seq(sales, transactions, stores, items, oil, holidays)
 
@@ -108,4 +109,11 @@ object Favorita {
       Seq(Measure("q2_sum_gh", Seq(Factor("item", ScalarFn.G), Factor("date", ScalarFn.H))))),
     AggQuery("Q3", Seq("iclass"), Seq(Measure.sumProduct("q3_sum_up", "units", "oilprize"))),
   )
+
+  /** The paper's roots for the demo batch (Fig. 2): Q1 and Q2 at Sales, Q3 at
+    * Items. The engine's own rule roots Q3 at Sales, because the Items key
+    * `item` fixes `iclass`; pass these as `rootOverrides` to plan the paper's
+    * structure.
+    */
+  val demoRoots: Map[String, String] = Map("Q1" -> "Sales", "Q2" -> "Sales", "Q3" -> "Items")
 }

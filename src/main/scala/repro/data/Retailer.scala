@@ -10,14 +10,17 @@ import repro.core.schema.{JoinTree, Relation}
   * the fact table, Location links to Census through zip (a two-hop chain that
   * makes view direction matter), Item and Weather hang off Inventory.
   * Integer-valued Longs throughout; sizes scale with `sf` (SF=1 ≈ 4.2M
-  * inventory rows).
+  * inventory rows). Every dimension relation declares its key; the generator
+  * builds each key from `range` ids, so the keys hold.
   */
 object Retailer {
   val inventory: Relation = Relation("Inventory", Seq("locn", "dateid", "ksn", "inventoryunits"))
-  val location: Relation  = Relation("Location", Seq("locn", "zip", "rgn"))
-  val census: Relation    = Relation("Census", Seq("zip", "population", "medianage", "households"))
-  val item: Relation      = Relation("Item", Seq("ksn", "category", "subcategory", "categorycluster", "prize"))
-  val weather: Relation   = Relation("Weather", Seq("locn", "dateid", "rain", "snow", "maxtemp", "mintemp", "thunder"))
+  val location: Relation  = Relation("Location", Seq("locn", "zip", "rgn"), key = Seq("locn"))
+  val census: Relation    = Relation("Census", Seq("zip", "population", "medianage", "households"), key = Seq("zip"))
+  val item: Relation      = Relation("Item", Seq("ksn", "category", "subcategory", "categorycluster", "prize"),
+    key = Seq("ksn"))
+  val weather: Relation   = Relation("Weather", Seq("locn", "dateid", "rain", "snow", "maxtemp", "mintemp", "thunder"),
+    key = Seq("locn", "dateid"))
 
   val relations: Seq[Relation] = Seq(inventory, location, census, item, weather)
 

@@ -19,32 +19,39 @@ import repro.util.Table
   * how far LMFAO's merging + multi-output grouping shrinks that. Paper
   * anchors: 814 aggregates (LR over full 43-attribute Retailer), 3,141 per
   * decision-tree node, n+1 for Rk-means, and 3 queries -> 7 groups for the
-  * running example.
+  * running example, planned under the paper's roots; a second row plans it
+  * under the engine's own roots.
   */
 object T1Sharing {
 
-  final case class Workload(name: String, tree: JoinTree, queries: Seq[AggQuery], paperAnchor: String)
+  /** `roots` pins query roots (`rootOverrides`); empty uses the engine's rule. */
+  final case class Workload(name: String, tree: JoinTree, queries: Seq[AggQuery], paperAnchor: String,
+                            roots: Map[String, String])
 
   def workloads(sf: Double): Seq[Workload] = {
     val fav = Favorita.tree(sf)
     val ret = repro.data.Retailer.tree(sf)
     Seq(
-      Workload("Favorita demo Q1-Q3 (paper sec 2)", fav, Favorita.demoQueries, "3 queries, 7 groups"),
-      Workload("Favorita LR Sigma batch", fav, SigmaBatch.queries(Workloads.favoritaLr), "-"),
-      Workload("Retailer LR Sigma batch", ret, SigmaBatch.queries(Workloads.retailerLr), "814 aggs (43-attr schema)"),
+      Workload("Favorita demo Q1-Q3 (paper sec 2)", fav, Favorita.demoQueries, "3 queries, 7 groups",
+        Favorita.demoRoots),
+      Workload("Favorita demo Q1-Q3, engine roots", fav, Favorita.demoQueries, "-", Map.empty),
+      Workload("Favorita LR Sigma batch", fav, SigmaBatch.queries(Workloads.favoritaLr), "-", Map.empty),
+      Workload("Retailer LR Sigma batch", ret, SigmaBatch.queries(Workloads.retailerLr),
+        "814 aggs (43-attr schema)", Map.empty),
       Workload("Retailer DT node batch", ret,
-        NodeBatch.queries(Workloads.retailerDt, Workloads.retailerDtLabel, Nil), "3,141 aggs (43-attr schema)"),
+        NodeBatch.queries(Workloads.retailerDt, Workloads.retailerDtLabel, Nil), "3,141 aggs (43-attr schema)",
+        Map.empty),
       Workload("Favorita Rk-means Step 1+3", fav,
         RkMeans.projectionQueries(Workloads.favoritaRkDims) :+ RkMeans.coresetQuery(Workloads.favoritaRkDims).copy(
           // the grid query's group-by columns only exist post-augmentation;
           // for counting we use the projections over the raw dims instead
           groupBy = Workloads.favoritaRkDims, name = "rk_grid_raw"),
-        "n+1 queries (n = 3 dims)"),
+        "n+1 queries (n = 3 dims)", Map.empty),
     )
   }
 
   def stats(w: Workload): SharingStats = {
-    val plan = ViewGeneration.plan(w.tree, w.queries)
+    val plan = ViewGeneration.plan(w.tree, w.queries, w.roots)
     plan.stats(DependencyGraph.groups(plan).size)
   }
 

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions.broadcast
 
 import repro.core.exec.LmfaoExec
 import repro.core.query.{AggQuery, Measure}
-import repro.core.schema.{JoinTree, Relation}
+import repro.core.schema.JoinTree
 import repro.core.viewgen.ViewGeneration
 
 /** Rk-means over the non-materialised join D (paper §3): a constant-factor
@@ -94,7 +94,8 @@ object RkMeans {
   /** Extend the owner relation of each dimension with its centroid-assignment
     * column c_dim (a tiny value→cluster join), returning the augmented tree
     * and tables. The join tree shape is unchanged, so the running intersection
-    * property is preserved.
+    * property is preserved; each row keeps at most one assignment, so every
+    * declared key still holds and is kept.
     */
   def augment(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
               dims: Seq[String], assignments: Map[String, Map[Long, Long]])
@@ -108,7 +109,7 @@ object RkMeans {
       val adf = broadcast(assignments(a).toSeq.toDF(a, s"c_$a"))
       newTables = newTables.updated(owner, newTables(owner).join(adf, Seq(a), "inner"))
       newRelations = newRelations.map { r =>
-        if (r.name == owner) Relation(r.name, r.attrs :+ s"c_$a") else r
+        if (r.name == owner) r.copy(attrs = r.attrs :+ s"c_$a") else r
       }
     }
     (JoinTree(newRelations, tree.edges, tree.sizes), newTables)

@@ -34,7 +34,9 @@ final case class Inner(split: Split, left: TreeNode, right: TreeNode) extends Tr
 /** CART over the non-materialised join D, grown level by level: all nodes
   * of one depth form one LMFAO batch (one grouped query per feature and node,
   * each under its node's path condition), and each node then picks its
-  * variance-minimising split (paper §3). A depth-d tree is d + 1 engine runs.
+  * variance-minimising split (paper §3). Nodes at the maximum depth are
+  * leaves, so their batch holds only the first feature's query, whose sums
+  * are the node's totals. A depth-d tree is d + 1 engine runs.
   */
 object DecisionTree {
 
@@ -71,9 +73,12 @@ object DecisionTree {
       val children = decided.flatMap { case (t, _) =>
         t.chosen.toSeq.flatMap(s => Seq(t.pathConds :+ s.predicate, t.pathConds :+ negate(s.predicate)))
       }
+      // A node at maxDepth is a leaf and reads only its totals, which the
+      // first feature's statistics hold: the last level runs that one query.
+      val needed = if (depth + 1 >= maxDepth) features.take(1) else features
       val below =
         if (children.isEmpty) Iterator.empty
-        else grow(children.zip(levelStats(tree, tables, features, label, children, Some(root))), depth + 1).iterator
+        else grow(children.zip(levelStats(tree, tables, needed, label, children, Some(root))), depth + 1).iterator
       decided.map { case (trace, prediction) =>
         trace.chosen.fold[(TreeNode, Seq[NodeTrace])]((Leaf(prediction), Seq(trace))) { s =>
           val ((left, lt), (right, rt)) = (below.next(), below.next())

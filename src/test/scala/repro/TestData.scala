@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.lit
 
 import repro.core.exec.LmfaoExec
 import repro.core.group.DependencyGraph
@@ -10,7 +11,8 @@ import repro.core.viewgen.{Plan, ViewGeneration, ViewId}
 
 /** Micro schemas for oracle tests: small enough that every DuckDB round-trip
   * is fast, with duplicate keys and dangling tuples so natural-join
-  * multiplicity and inner-join semantics are actually exercised.
+  * multiplicity and inner-join semantics are actually exercised; the keyed
+  * variants declare keys that hold.
   */
 object TestData {
 
@@ -58,6 +60,50 @@ object TestData {
     (tree, tables)
   }
 
+  /** Keyed chain A(a,b) — B(b,c) key b — C(c,d) key c. The keys hold, A has
+    * duplicate join keys, and every edge has dangling tuples: b ∈ {7, 8} in A
+    * and c = 1 in B find no partner, nor does c = 7 in C.
+    */
+  def keyedChain(spark: SparkSession, n: Int = 60, seed: Int = 11): (JoinTree, Map[String, DataFrame]) = {
+    import spark.implicits._
+    val rng = new scala.util.Random(seed)
+    val aRows = Seq.fill(n)((rng.nextInt(9) + 1L, rng.nextInt(8) + 1L))      // (a, b), b in 1..8
+    val bRows = (1L to 6L).map(b => (b, rng.nextInt(6) + 1L))                 // (b, c), c in 1..6
+    val cRows = (2L to 7L).map(c => (c, rng.nextInt(9) + 1L))                 // (c, d)
+    val tree = JoinTree(
+      Seq(
+        Relation("A", Seq("a", "b")),
+        Relation("B", Seq("b", "c"), key = Seq("b")),
+        Relation("C", Seq("c", "d"), key = Seq("c")),
+      ),
+      Seq(("A", "B"), ("B", "C")),
+      sizes = Map("A" -> n.toLong, "B" -> 6L, "C" -> 6L),
+    )
+    (tree, Map("A" -> aRows.toDF("a", "b"), "B" -> bRows.toDF("b", "c"), "C" -> cRows.toDF("c", "d")))
+  }
+
+  /** Keyed star S(k1,k2,x) — D1(k1,u) key k1, D2(k2,v) key k2. The keys
+    * hold; k1 = 6 and k2 = 5 in S and k1 = 7, k2 = 6 in the dimensions
+    * dangle.
+    */
+  def keyedStar(spark: SparkSession, n: Int = 80, seed: Int = 12): (JoinTree, Map[String, DataFrame]) = {
+    import spark.implicits._
+    val rng = new scala.util.Random(seed)
+    val sRows = Seq.fill(n)((rng.nextInt(6) + 1L, rng.nextInt(5) + 1L, rng.nextInt(20) + 1L))
+    val d1Rows = Seq(1L, 2L, 3L, 4L, 5L, 7L).map(k => (k, rng.nextInt(4) + 1L))
+    val d2Rows = Seq(1L, 2L, 3L, 4L, 6L).map(k => (k, rng.nextInt(10) + 1L))
+    val tree = JoinTree(
+      Seq(
+        Relation("S", Seq("k1", "k2", "x")),
+        Relation("D1", Seq("k1", "u"), key = Seq("k1")),
+        Relation("D2", Seq("k2", "v"), key = Seq("k2")),
+      ),
+      Seq(("S", "D1"), ("S", "D2")),
+      sizes = Map("S" -> n.toLong, "D1" -> 6L, "D2" -> 5L),
+    )
+    (tree, Map("S" -> sRows.toDF("k1", "k2", "x"), "D1" -> d1Rows.toDF("k1", "u"), "D2" -> d2Rows.toDF("k2", "v")))
+  }
+
   /** A single-relation "tree" R(g, x, y). */
   def single(spark: SparkSession, n: Int = 50, seed: Int = 3): (JoinTree, Map[String, DataFrame]) = {
     import spark.implicits._
@@ -87,9 +133,22 @@ object TestData {
   * read from `reuse`, so a caller can tell that the reuse path ran.
   */
 object Check {
-  /** Output passes of a plan: one per distinct group-by list of each output group. */
+  /** Output grouping sets of a plan: one per distinct group-by list of each
+    * output group (each output group is one pass over its frame).
+    */
   def outputPasses(plan: Plan): Int =
     DependencyGraph.groups(plan).map(_.outputs.map(_.query.groupBy).distinct.size).sum
+
+  /** DuckDB confirms every declared key of the tree: no two rows of the
+    * relation agree on all of its key attributes.
+    */
+  def keysHold(tree: JoinTree, tables: Map[String, DataFrame]): Unit =
+    tree.relations.filter(_.key.nonEmpty).foreach { r =>
+      val holds = tables(r.name).sparkSession.range(1).select(lit(true).as("key_holds"))
+      Oracle.assertEquivalent(holds,
+        s"SELECT COUNT(*) = COUNT(DISTINCT concat_ws('|', ${r.key.mkString(", ")})) AS key_holds FROM ${r.name}",
+        r.name -> tables(r.name))
+    }
 
   def lmfaoVsDuck(tree: JoinTree, tables: Map[String, DataFrame], queries: Seq[AggQuery],
                   roots: Map[String, String] = Map.empty, persistViews: Boolean = true,

@@ -7,11 +7,12 @@ import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.Expression
-import org.apache.spark.sql.execution.{LocalTableScanExec, SparkPlan}
+import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions.{col, lit, raise_error, udf, when}
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.apache.spark.storage.StorageLevel
 
 import repro.{Check, Oracle, SparkSpec, TestData}
@@ -58,10 +59,33 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private def rows(df: DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
 
-  /** Join key names of each hash or sort-merge join that computes `df`,
+  /** Join kinds and keys, sorted, of the one collected pass that joins,
+    * among the queries that `body` executes: an output pass is collected
+    * straight from its plan, so a listener reads its executed plan.
+    */
+  private def passJoins(body: => Unit): Seq[(String, String)] = {
+    val plans = new ConcurrentLinkedQueue[SparkPlan]()
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        if (funcName == "collect") plans.add(qe.executedPlan)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      body
+      // Listeners are called on the listener bus, after the action returns.
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      def joining = plans.asScala.toSeq.map(joinKeys).filter(_.nonEmpty)
+      while (joining.isEmpty && System.nanoTime() < deadline) Thread.sleep(10)
+      val Seq(joins) = joining
+      joins.sorted
+    } finally spark.listenerManager.unregister(listener)
+  }
+
+  /** Join key names of each hash or sort-merge join of a physical plan,
     * looking through adaptive execution and into cached relations.
     */
-  private def joinKeys(df: DataFrame): Seq[(String, String)] = {
+  private def joinKeys(plan: SparkPlan): Seq[(String, String)] = {
     def keys(ks: Seq[Expression]) = ks.flatMap(_.references.map(_.name)).distinct.mkString(",")
     def go(p: SparkPlan): Seq[(String, String)] = flatMap(p) {
       case s: InMemoryTableScanExec => go(s.relation.cachedPlan)
@@ -69,7 +93,7 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       case j: SortMergeJoinExec => Seq("sort-merge" -> keys(j.leftKeys))
       case _ => Nil
     }
-    go(df.queryExecution.executedPlan)
+    go(plan)
   }
 
   test("global count over the chain join") {
@@ -237,8 +261,8 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       val res = LmfaoExec.run(chainTables, plan, persistViews = persist)
       val outGroups = res.groups.filter(_.outputs.nonEmpty)
       assert(outGroups.map(_.outputs.size) == Seq(6))
-      // Only the shared frame of B is cached; each pass is collected once.
-      assert(res.caches.size == (if (persist) 1 else 0))
+      // The output group is one uncached pass, collected once.
+      assert(res.caches.isEmpty)
       assert(res.queryResults.values.forall(_.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec]))
       res.cleanup()
       Check.lmfaoVsDuck(chainTree, chainTables, atB, rootB, persistViews = persist)
@@ -247,14 +271,28 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("a view from a smaller relation is broadcast, one from a larger relation is shuffled") {
     // Sizes A=60, B=30, C=20: C→B is joined into B by broadcast, A→B by sort-merge.
-    val sized = LmfaoExec.run(chainTables, repro.core.viewgen.ViewGeneration.plan(chainTree, atB, rootB))
-    try assert(joinKeys(sized.caches.head).sorted == Seq("broadcast" -> "c", "sort-merge" -> "b"))
-    finally sized.cleanup()
+    val sizedPlan = repro.core.viewgen.ViewGeneration.plan(chainTree, atB, rootB)
+    assert(passJoins(LmfaoExec.run(chainTables, sizedPlan).cleanup()) ==
+      Seq("broadcast" -> "c", "sort-merge" -> "b"))
     // Without sizes nothing is broadcast.
     val unsizedTree = chainTree.copy(sizes = Map.empty)
-    val unsized = LmfaoExec.run(chainTables, repro.core.viewgen.ViewGeneration.plan(unsizedTree, atB, rootB))
-    try assert(joinKeys(unsized.caches.head).sorted == Seq("sort-merge" -> "b", "sort-merge" -> "c"))
-    finally unsized.cleanup()
+    val unsizedPlan = repro.core.viewgen.ViewGeneration.plan(unsizedTree, atB, rootB)
+    assert(passJoins(LmfaoExec.run(chainTables, unsizedPlan).cleanup()) ==
+      Seq("sort-merge" -> "b", "sort-merge" -> "c"))
+  }
+
+  test("a multi-set output group over an emptied relation returns the global queries' rows with 0.0") {
+    // No row of A joins: the grouped sets are empty, each global set is one row.
+    val emptied = chainTables.updated("A", chainTables("A").where(lit(false)))
+    val res = LmfaoExec.run(emptied, ViewGeneration.plan(chainTree, atB, rootB))
+    try {
+      assert(res.groups.count(_.outputs.nonEmpty) == 1)
+      atB.foreach { query =>
+        val expected = if (query.groupBy.isEmpty) Seq(LocalRow(Nil, query.measures.map(_ => 0.0))) else Nil
+        assert(AggQuery.collect(query, res.queryResults(query.name)) == expected, query.name)
+      }
+    } finally res.cleanup()
+    Check.lmfaoVsDuck(chainTree, emptied, atB, rootB)
   }
 
   test("answers do not depend on the join strategy") {

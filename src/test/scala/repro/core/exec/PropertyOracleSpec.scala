@@ -5,17 +5,22 @@ import org.scalacheck.rng.Seed
 
 import repro.{Check, SparkSpec, TestData}
 import repro.core.query._
-import repro.core.viewgen.ViewGeneration
+import repro.core.schema.JoinTree
+import repro.core.viewgen.{RootAssignment, ViewGeneration}
 
 /** Property-based oracle testing: random group-by aggregate queries with
-  * random roots over the chain and star schemas, every result diffed against
-  * DuckDB. (ScalaCheck generators driven manually with fixed seeds — the
+  * random roots over the chain and star schemas, with and without declared
+  * keys, every result diffed against DuckDB. (ScalaCheck generators driven manually with fixed seeds — the
   * scalatest/scalacheck bridge artifact is not available offline.)
   */
 class PropertyOracleSpec extends SparkSpec {
 
   private lazy val (chainTree, chainTables) = TestData.chain(spark)
   private lazy val (starTree, starTables) = TestData.star(spark)
+  private lazy val (keyedChainTree, keyedChainTables) = TestData.keyedChain(spark)
+  private lazy val (keyedStarTree, keyedStarTables) = TestData.keyedStar(spark)
+
+  private def rows(df: org.apache.spark.sql.DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
 
   private val Cases = 12
 
@@ -108,29 +113,33 @@ class PropertyOracleSpec extends SparkSpec {
     assert(reused.sum > 0)
   }
 
+  /** Batches of 3–6 queries; query i groups on attributes of relation
+    * i + offset, so every relation carries some group-by, and about half of
+    * the queries are rooted there by an override.
+    */
+  private def batchGen(tree: JoinTree): Gen[Seq[(AggQuery, Option[String])]] = {
+    val rels = tree.relations.map(r => r.name -> r.attrs)
+    val attrs = rels.flatMap(_._2).distinct
+    for {
+      n <- Gen.choose(3, 6)
+      offset <- Gen.choose(0, rels.size - 1)
+      queries <- Gen.sequence[Seq[(AggQuery, Option[String])], (AggQuery, Option[String])](
+        (0 until n).map { i =>
+          val (rel, relAttrs) = rels((i + offset) % rels.size)
+          for {
+            nGb <- Gen.choose(1, 2)
+            gb <- Gen.pick(nGb, relAttrs)
+            nM <- Gen.choose(1, 2)
+            measures <- Gen.sequence[Seq[Measure], Measure]((0 until nM).map(j => measureGen(attrs, j)))
+            root <- Gen.option(Gen.const(rel))
+          } yield (AggQuery(s"q$i", gb.toSeq.sorted, measures), root)
+        })
+    } yield queries
+  }
+
   test("random batches grouped on different relations run several passes and match DuckDB") {
-    def batchGen(rels: Seq[(String, Seq[String])]): Gen[Seq[(AggQuery, Option[String])]] = {
-      val attrs = rels.flatMap(_._2).distinct
-      for {
-        n <- Gen.choose(3, 6)
-        offset <- Gen.choose(0, rels.size - 1)
-        queries <- Gen.sequence[Seq[(AggQuery, Option[String])], (AggQuery, Option[String])](
-          (0 until n).map { i =>
-            // Query i groups on attributes of relation i + offset, so every
-            // relation carries some group-by; half of them are rooted there.
-            val (rel, relAttrs) = rels((i + offset) % rels.size)
-            for {
-              nGb <- Gen.choose(1, 2)
-              gb <- Gen.pick(nGb, relAttrs)
-              nM <- Gen.choose(1, 2)
-              measures <- Gen.sequence[Seq[Measure], Measure]((0 until nM).map(j => measureGen(attrs, j)))
-              root <- Gen.option(Gen.const(rel))
-            } yield (AggQuery(s"q$i", gb.toSeq.sorted, measures), root)
-          })
-      } yield queries
-    }
     for ((tree, tables, seed0) <- Seq((chainTree, chainTables, 6000), (starTree, starTables, 7000))) {
-      val gen = batchGen(tree.relations.map(r => r.name -> r.attrs))
+      val gen = batchGen(tree)
       (1 to Cases / 2).foreach { i =>
         val batch = sample(gen, seed0 + i)
         val queries = batch.map(_._1)
@@ -142,5 +151,53 @@ class PropertyOracleSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  test("random batches over keyed trees match DuckDB, with projection views and fact roots") {
+    val seen = for {
+      (tree, tables, seed0) <- Seq((keyedChainTree, keyedChainTables, 8000), (keyedStarTree, keyedStarTables, 9000))
+      i <- 1 to Cases / 2
+    } yield {
+      val batch = sample(batchGen(tree), seed0 + i)
+      val queries = batch.map(_._1)
+      val roots = batch.collect { case (q, Some(r)) => q.name -> r }.toMap
+      withClue(s"seed=${seed0 + i} batch=$batch") {
+        val plan = ViewGeneration.plan(tree, queries, roots)
+        Check.lmfaoVsDuck(tree, tables, queries, roots)
+        val projections = plan.views.count(v => LmfaoExec.isProjection(tree, v.id))
+        val moved = queries.count(q => plan.roots(q.name) != roots.getOrElse(q.name, RootAssignment.choose(tree, q)))
+        (projections, moved)
+      }
+    }
+    // Vacuous unless both key-driven paths actually ran.
+    assert(seen.map(_._1).sum > 0 && seen.map(_._2).sum > 0, seen)
+  }
+
+  test("answers over keyed trees are identical when every query is pinned to its choose root") {
+    val differ = for {
+      (tree, tables, seed0) <- Seq((keyedChainTree, keyedChainTables, 10000), (keyedStarTree, keyedStarTables, 11000))
+      i <- 1 to Cases / 2
+    } yield {
+      val queries = sample(batchGen(tree), seed0 + i).map(_._1)
+      val chosen = queries.map(q => q.name -> RootAssignment.choose(tree, q)).toMap
+      withClue(s"seed=${seed0 + i} queries=$queries") {
+        val engine = LmfaoExec.run(tables, ViewGeneration.plan(tree, queries))
+        val pinned = LmfaoExec.run(tables, ViewGeneration.plan(tree, queries, chosen))
+        try queries.foreach(q => assert(rows(engine.queryResults(q.name)) == rows(pinned.queryResults(q.name)), q.name))
+        finally { engine.cleanup(); pinned.cleanup() }
+        engine.plan.roots != chosen
+      }
+    }
+    // Vacuous unless the engine's roots differ from choose's in some batch.
+    assert(differ.contains(true))
+  }
+
+  test("the key check rejects a key that the data violates") {
+    // B(b, c) of the plain chain repeats join keys b.
+    val keyed = chainTree.copy(relations = chainTree.relations.map(r =>
+      if (r.name == "B") r.copy(key = Seq("b")) else r))
+    assertThrows[IllegalArgumentException](Check.keysHold(keyed, chainTables))
+    Check.keysHold(keyedChainTree, keyedChainTables)
+    Check.keysHold(keyedStarTree, keyedStarTables)
   }
 }

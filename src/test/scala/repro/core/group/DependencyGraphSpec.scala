@@ -11,6 +11,8 @@ class DependencyGraphSpec extends AnyFunSuite {
 
   private val fav = Favorita.tree(0.01)
   private val demoPlan = ViewGeneration.plan(fav, Favorita.demoQueries)
+  // The demo batch under the paper's roots (Fig. 2: Q3 at Items).
+  private val paperPlan = ViewGeneration.plan(fav, Favorita.demoQueries, Favorita.demoRoots)
 
   test("every view and output lands in exactly one group") {
     val gs = DependencyGraph.groups(demoPlan)
@@ -29,13 +31,13 @@ class DependencyGraphSpec extends AnyFunSuite {
 
   test("the demo batch forms 8 groups (paper merges to 7 via in-group lookups)") {
     // 6 directional view groups + Sales outputs (Q1,Q2) + Items outputs (Q3).
-    val gs = DependencyGraph.groups(demoPlan)
+    val gs = DependencyGraph.groups(paperPlan)
     assert(gs.size == 8)
     assert(gs.count(_.direction.isEmpty) == 2)
   }
 
   test("Q1 and Q2 share one multi-output group at Sales") {
-    val gs = DependencyGraph.groups(demoPlan)
+    val gs = DependencyGraph.groups(paperPlan)
     val salesOut = gs.filter(g => g.node == "Sales" && g.direction.isEmpty)
     assert(salesOut.size == 1)
     assert(salesOut.head.outputs.map(_.query.name).toSet == Set("Q1", "Q2"))
@@ -69,7 +71,7 @@ class DependencyGraphSpec extends AnyFunSuite {
   }
 
   test("edges expose producer-consumer pairs") {
-    val gs = DependencyGraph.groups(demoPlan)
+    val gs = DependencyGraph.groups(paperPlan)
     val es = DependencyGraph.edges(gs)
     es.foreach { case (producer, consumer) =>
       assert(consumer.incoming.exists(producer.produced.contains))
@@ -89,6 +91,24 @@ class DependencyGraphSpec extends AnyFunSuite {
     val gs = DependencyGraph.groups(demoPlan)
     gs.foreach { g =>
       if (g.direction.nonEmpty) assert(g.outputs.isEmpty) else assert(g.views.isEmpty)
+    }
+  }
+
+  test("under the engine's roots the demo batch forms 5 views and 6 groups, one output group at Sales") {
+    val gs = DependencyGraph.groups(demoPlan)
+    assert(demoPlan.views.size == 5)
+    assert(gs.size == 6)
+    val outs = gs.filter(_.outputs.nonEmpty)
+    assert(outs.map(g => g.node -> g.outputs.map(_.query.name).toSet) == Seq("Sales" -> Set("Q1", "Q2", "Q3")))
+  }
+
+  test("the Favorita and Retailer Sigma batches each run as one output group at the fact table") {
+    for ((tree, features, fact) <- Seq(
+        (fav, repro.exp.Workloads.favoritaLr, "Sales"),
+        (repro.data.Retailer.tree(0.01), repro.exp.Workloads.retailerLr, "Inventory"))) {
+      val batch = repro.ml.linreg.SigmaBatch.queries(features)
+      val outs = DependencyGraph.groups(ViewGeneration.plan(tree, batch)).filter(_.outputs.nonEmpty)
+      assert(outs.map(g => g.node -> g.outputs.size) == Seq(fact -> batch.size), fact)
     }
   }
 }

@@ -159,4 +159,33 @@ class JoinTreeSpec extends AnyFunSuite {
     assert(repro.data.Favorita.tree(0.01).relations.size == 6)
     assert(repro.data.Retailer.tree(0.01).relations.size == 5)
   }
+
+  test("determined follows keys over two hops (Census via Location)") {
+    val t = repro.data.Retailer.tree(0.01)
+    assert(t.determined("Location", "Inventory") ==
+      Set("locn", "zip", "rgn", "population", "medianage", "households"))
+    assert(t.determined("Weather", "Inventory") == repro.data.Retailer.weather.attrSet)
+  }
+
+  test("determined stops at a keyless relation (Inventory)") {
+    val t = repro.data.Retailer.tree(0.01)
+    // Only the join key: Inventory has no key, so Item and Weather are not reached.
+    assert(t.determined("Inventory", "Location") == Set("locn"))
+    assert(t.determined("Inventory", "Item") == Set("ksn"))
+  }
+
+  test("determined stops where the key is not inside the join keys") {
+    // B's key (b, c) is wider than its join key b with A; C's key c lies
+    // within the join key c with B.
+    val t = JoinTree(
+      Seq(
+        Relation("A", Seq("a", "b")),
+        Relation("B", Seq("b", "c", "e"), key = Seq("b", "c")),
+        Relation("C", Seq("c", "d"), key = Seq("c")),
+      ),
+      Seq(("A", "B"), ("B", "C")))
+    assert(t.determined("B", "A") == Set("b"))
+    assert(t.determined("C", "B") == Set("c", "d"))
+    assert(diamondless.determined("B", "A") == Set("b"))
+  }
 }

@@ -30,4 +30,14 @@ class RelationSpec extends AnyFunSuite {
   test("duplicate attributes are rejected") {
     assertThrows[IllegalArgumentException](Relation("R", Seq("a", "a")))
   }
+
+  test("a relation declares no key unless given one") {
+    assert(Relation("R", Seq("a", "b")).key.isEmpty)
+    assert(Relation("R", Seq("a", "b", "c"), key = Seq("a", "b")).key == Seq("a", "b"))
+  }
+
+  test("a key attribute that is not an attribute is rejected, naming the relation and the attribute") {
+    val e = intercept[IllegalArgumentException](Relation("Rel", Seq("a", "b"), key = Seq("a", "zz")))
+    assert(e.getMessage.contains("relation Rel") && e.getMessage.contains("zz"))
+  }
 }

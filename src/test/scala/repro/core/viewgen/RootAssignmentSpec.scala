@@ -3,6 +3,7 @@ package repro.core.viewgen
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.query.{AggQuery, Measure}
+import repro.core.schema.{JoinTree, Relation}
 import repro.data.Favorita
 
 class RootAssignmentSpec extends AnyFunSuite {
@@ -57,9 +58,40 @@ class RootAssignmentSpec extends AnyFunSuite {
   }
 
   test("the demo batch gets the paper's root assignment") {
-    val roots = RootAssignment.assign(tree, Favorita.demoQueries)
+    val roots = Favorita.demoQueries.map(q => q.name -> RootAssignment.choose(tree, q)).toMap
     assert(roots("Q1") == "Sales")
     assert(roots("Q2") == "Sales")
     assert(roots("Q3") == "Items")
+    assert(roots == Favorita.demoRoots)
+  }
+
+  test("assign roots Q3 at Sales, where the Items key fixes iclass") {
+    assert(RootAssignment.assign(tree, Favorita.demoQueries) == Map("Q1" -> "Sales", "Q2" -> "Sales", "Q3" -> "Sales"))
+    assert(RootAssignment.assign(tree, Favorita.demoQueries, Favorita.demoRoots) == Favorita.demoRoots)
+  }
+
+  test("assign moves a query to the largest relation only if choose roots some query there") {
+    val byClass = AggQuery("byClass", Seq("iclass"), Seq(Measure.count("c")))
+    val byCity = AggQuery("byCity", Seq("city"), Seq(Measure.count("c")))
+    assert(RootAssignment.assign(tree, Seq(byClass, byCity)) == Map("byClass" -> "Items", "byCity" -> "Stores"))
+    val total = AggQuery("total", Nil, Seq(Measure.count("c")))
+    assert(RootAssignment.assign(tree, Seq(byClass, byCity, total)).values.toSet == Set("Sales"))
+  }
+
+  test("assign keeps a query whose group-by no key of the largest relation's edges fixes") {
+    // D2 declares no key, so v stays at D2; D1's key k1 fixes u.
+    val star = JoinTree(
+      Seq(
+        Relation("S", Seq("k1", "k2", "x")),
+        Relation("D1", Seq("k1", "u"), key = Seq("k1")),
+        Relation("D2", Seq("k2", "v")),
+      ),
+      Seq(("S", "D1"), ("S", "D2")),
+      sizes = Map("S" -> 100L, "D1" -> 10L, "D2" -> 10L))
+    val batch = Seq(
+      AggQuery("total", Nil, Seq(Measure.count("c"))),
+      AggQuery("byU", Seq("u"), Seq(Measure.count("c"))),
+      AggQuery("byV", Seq("v"), Seq(Measure.count("c"))))
+    assert(RootAssignment.assign(star, batch) == Map("total" -> "S", "byU" -> "S", "byV" -> "D2"))
   }
 }

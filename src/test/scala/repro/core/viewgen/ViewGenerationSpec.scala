@@ -85,7 +85,7 @@ class ViewGenerationSpec extends AnyFunSuite {
   }
 
   test("the demo batch produces the paper's view structure") {
-    val plan = ViewGeneration.plan(fav, demo)
+    val plan = ViewGeneration.plan(fav, demo, Favorita.demoRoots)
     // Edges carrying exactly one shared view for all three queries:
     val byEdge = plan.views.groupBy(v => (v.id.from, v.id.to))
     assert(byEdge(("Stores", "Transactions")).flatMap(_.aggs).size == 1)
@@ -102,7 +102,7 @@ class ViewGenerationSpec extends AnyFunSuite {
   }
 
   test("demo batch: both directions of the Sales-Items edge are materialised") {
-    val plan = ViewGeneration.plan(fav, demo)
+    val plan = ViewGeneration.plan(fav, demo, Favorita.demoRoots)
     val dirs = plan.views.map(v => (v.id.from, v.id.to)).toSet
     assert(dirs.contains(("Items", "Sales")) && dirs.contains(("Sales", "Items")))
   }
@@ -135,7 +135,7 @@ class ViewGenerationSpec extends AnyFunSuite {
   }
 
   test("stats count queries, views and merging") {
-    val plan = ViewGeneration.plan(fav, demo)
+    val plan = ViewGeneration.plan(fav, demo, Favorita.demoRoots)
     val s = plan.stats(nGroups = 0)
     assert(s.nQueries == 3)
     assert(s.nAggregates == 3)
@@ -173,5 +173,34 @@ class ViewGenerationSpec extends AnyFunSuite {
     // item and date are owned by Sales (the root): all views are pure counts.
     assert(plan.views.forall(_.aggs.forall(_.localFactors.isEmpty)))
     assert(plan.outputs.head.terms.head.localFactors.map(_.attr).toSet == Set("item", "date"))
+  }
+
+  test("views carry the batch's group-by attributes that the edge's join keys fix") {
+    // Q1 at Sales needs V_Items→Sales(item); byFamily needs (family,item).
+    // The Items key fixes family, so both read one view with the same rows.
+    val byFamily = AggQuery("byFamily", Seq("family"), Seq(Measure.sum("s", "units")))
+    val plan = ViewGeneration.plan(fav, Seq(demo.head, byFamily), Map("byFamily" -> "Sales"))
+    assert(plan.views.filter(v => v.id.from == "Items").map(_.id) == Seq(ViewId("Items", "Sales", Seq("family", "item"))))
+    // Sales has no key, so nothing rides along from it towards Items.
+    val both = ViewGeneration.plan(fav, Seq(demo.head, byFamily), Map("Q1" -> "Items", "byFamily" -> "Items"))
+    assert(both.views.filter(v => v.id.from == "Sales").map(_.id) == Seq(ViewId("Sales", "Items", Seq("item"))))
+  }
+
+  test("Rk-means' projection and grid plans keep their roots and views") {
+    val dims = Seq("txns")
+    val proj = ViewGeneration.plan(fav, repro.ml.rkmeans.RkMeans.projectionQueries(dims))
+    val expected = Set(
+      ViewId("Stores", "Transactions", Seq("store")),
+      ViewId("Sales", "Transactions", Seq("date", "store")),
+      ViewId("Items", "Sales", Seq("item")),
+      ViewId("Oil", "Sales", Seq("date")),
+      ViewId("Holidays", "Sales", Seq("date")))
+    assert(proj.roots.values.toSet == Set("Transactions"))
+    assert(proj.views.map(_.id).toSet == expected)
+    val augmented = fav.copy(relations = fav.relations.map(r =>
+      if (r.name == "Transactions") r.copy(attrs = r.attrs :+ "c_txns") else r))
+    val grid = ViewGeneration.plan(augmented, Seq(repro.ml.rkmeans.RkMeans.coresetQuery(dims)))
+    assert(grid.roots.values.toSet == Set("Transactions"))
+    assert(grid.views.map(_.id).toSet == expected)
   }
 }

@@ -2,7 +2,9 @@ package repro.data
 
 import repro.{Check, SparkSpec}
 import repro.core.baseline.Baselines
+import repro.core.group.DependencyGraph
 import repro.core.query.{AggQuery, Measure}
+import repro.core.viewgen.ViewGeneration
 
 class FavoritaSpec extends SparkSpec {
 
@@ -69,5 +71,20 @@ class FavoritaSpec extends SparkSpec {
   test("group-by over attributes of three different relations matches DuckDB") {
     Check.lmfaoVsDuck(tree, tables, Seq(
       AggQuery("tri", Seq("cluster", "family", "htype"), Seq(Measure.count("cnt")))))
+  }
+
+  test("every declared key holds, checked by DuckDB at two seeds") {
+    assert(tree.relations.count(_.key.nonEmpty) == 5)
+    for (seed <- Seq(0L, 99L)) Check.keysHold(tree, Favorita.tables(spark, sf, seed))
+  }
+
+  test("the demo batch under the engine's roots runs as one output group at Sales and matches DuckDB") {
+    // SF 0.01 sizes, under which Sales is the largest relation; sizes only
+    // steer the plan, so the micro tables still give the right answers.
+    val sized = Favorita.tree(0.01)
+    val plan = ViewGeneration.plan(sized, Favorita.demoQueries)
+    val outs = DependencyGraph.groups(plan).filter(_.outputs.nonEmpty)
+    assert(outs.map(g => g.node -> g.outputs.size) == Seq("Sales" -> 3))
+    Check.lmfaoVsDuck(sized, tables, Favorita.demoQueries)
   }
 }

@@ -53,4 +53,9 @@ class RetailerSpec extends SparkSpec {
     Check.lmfaoVsDuck(tree, tables, Seq(
       AggQuery("cov", Nil, Seq(Measure.sumProduct("p", "prize", "maxtemp")))))
   }
+
+  test("every declared key holds, checked by DuckDB at two seeds") {
+    assert(tree.relations.count(_.key.nonEmpty) == 4)
+    for (seed <- Seq(100L, 7L)) Check.keysHold(tree, Retailer.tables(spark, sf, seed))
+  }
 }

@@ -18,15 +18,21 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("T1 demo workload reproduces the paper's example structure") {
-    // sf >= 0.01 so Sales dominates Transactions and the root heuristic
-    // matches the paper's assignment (at micro scale the heuristic
-    // legitimately prefers the then-larger Transactions relation).
+    // The first workload pins the paper's roots (Favorita.demoRoots).
     val w = T1Sharing.workloads(0.01).head
     val s = T1Sharing.stats(w)
     assert(s.nQueries == 3)
     assert(s.nUnmergedViews == 15)
     assert(s.nMergedViews == 6)
     assert(s.nGroups == 8)
+  }
+
+  test("T1 demo workload under the engine's roots runs the outputs as one group") {
+    val w = T1Sharing.workloads(0.01)(1)
+    assert(w.roots.isEmpty)
+    val s = T1Sharing.stats(w)
+    assert(s.nMergedViews == 5)
+    assert(s.nGroups == 6)
   }
 
   test("T1 sharing grows with batch size (LR batches merge heavily)") {
