@@ -27,14 +27,18 @@ import repro.util.Concurrently
   *
   * A view whose keys include the declared key of its node's relation is a
   * projection of the frame: a `select` of its keys and products, with no
-  * aggregate and no shuffle, coalesced to one partition as adaptive
-  * execution coalesces the aggregated views. This is sound because the frame
-  * has at most one row per value of the node's key plus the carried keys of
-  * its incoming views: the relation has one row per key value, and an
-  * incoming view has one row per value of its keys, whose attributes other
-  * than its join keys are group-by attributes that the view generation also
-  * carries on the outgoing view, or that the join keys fix. So every group of
-  * the aggregate would hold exactly one row.
+  * aggregate and no shuffle. When the keys hold, every group of the
+  * aggregate would hold exactly one row: the relation has one row per key
+  * value, and an incoming view has one row per value of its keys, whose
+  * attributes other than its join keys are group-by attributes that the view
+  * generation also carries on the outgoing view, or that the join keys fix.
+  * A broken key costs rows, not answers: the projection then keeps several
+  * rows of one group, but every measure multiplies each incoming view's
+  * partial exactly once, so each output is linear in each view's rows and
+  * split rows add up to the same sums. A projection is coalesced to one
+  * partition per million rows of its relation by `JoinTree.sizes` (one
+  * partition when the size is missing), as adaptive execution coalesces the
+  * small aggregated views.
   *
   * An incoming view is broadcast when its relation is smaller than the
   * group's node by `JoinTree.sizes`: the view has at most |R_from| rows and
@@ -57,6 +61,9 @@ import repro.util.Concurrently
   * them; see [[run]] for when that is sound.
   */
 object LmfaoExec {
+
+  /** Rows of a projection view's relation per partition of the view. */
+  private val ProjectionPartitionRows = 1000000L
 
   /** Execution result: per-query driver-local DataFrames (collecting one
     * starts no Spark job) plus the materialised views and the groups that
@@ -88,8 +95,11 @@ object LmfaoExec {
     *
     * With `reuse`, a view is read from that earlier result, renamed to this
     * plan's aggregate names, instead of computed, when (1) the earlier plan
-    * has a view with the same [[ViewId]], (2) every aggregate signature this
-    * view needs appears in it, and (3) every relation of the view's subtree
+    * has a view on the same edge whose keys are this view's keys plus
+    * attributes the edge's join keys fix (`JoinTree.determined`: a batch
+    * with more group-by attributes carries more of them, on the same rows),
+    * (2) every aggregate signature this view needs appears in it, and (3)
+    * every relation of the view's subtree
     * has the same schema, neighbours and input frame (`eq`) in both runs. A
     * signature fixes the SUM-of-products over the subtree's join, indicator
     * factors included, but not the rows of its relations, which a caller may
@@ -149,9 +159,11 @@ object LmfaoExec {
         views.foreach { v =>
           val sums = v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName)))
           val df =
-            if (isProjection(plan.tree, v.id))
-              shared.select(v.id.keys.map(col) ++ sums.map { case (name, p) => p.as(name) }: _*).coalesce(1)
-            else groupedSum(shared, v.id.keys, sums)
+            if (isProjection(plan.tree, v.id)) {
+              val rows = plan.tree.sizeOf(v.id.from)
+              shared.select(v.id.keys.map(col) ++ sums.map { case (name, p) => p.as(name) }: _*)
+                .coalesce(((rows + ProjectionPartitionRows - 1) / ProjectionPartitionRows).max(1L).toInt)
+            } else groupedSum(shared, v.id.keys, sums)
           viewFrames(v.id) =
             if (persistViews) df.persist(StorageLevel.MEMORY_AND_DISK) else df
         }
@@ -216,13 +228,18 @@ object LmfaoExec {
       before.relationByName.get(n).contains(tree.relationByName(n)) &&
         before.neighbors(n).toSet == tree.neighbors(n).toSet &&
         earlier.inputs.get(n).exists(_ eq inputs(n))
-    val earlierViews = earlier.plan.viewById
+    val earlierOnEdge = earlier.plan.views.groupBy(e => (e.id.from, e.id.to))
     plan.views.flatMap { v =>
-      earlierViews.get(v.id).flatMap { e =>
+      val fixed = tree.determined(v.id.from, v.id.to)
+      val lenders = earlierOnEdge.getOrElse((v.id.from, v.id.to), Nil).filter { e =>
+        v.id.keys.forall(e.id.keys.contains) && e.id.keys.forall(k => v.id.keys.contains(k) || fixed(k)) &&
+          v.aggs.forall(a => e.aggs.exists(_.sig == a.sig))
+      }
+      if (lenders.isEmpty || !tree.subtreeNodes(v.id.from, v.id.to).forall(unchanged)) None
+      else {
+        val e = lenders.minBy(_.id.keys.size)
         val nameOf = e.aggs.map(a => a.sig -> a.name).toMap
-        if (!v.aggs.forall(a => nameOf.contains(a.sig)) ||
-            !tree.subtreeNodes(v.id.from, v.id.to).forall(unchanged)) None
-        else Some(v.id -> earlier.viewFrames(v.id).select(
+        Some(v.id -> earlier.viewFrames(e.id).select(
           v.id.keys.map(col) ++ v.aggs.map(a => col(nameOf(a.sig)).as(a.name)): _*))
       }
     }.toMap

@@ -10,9 +10,10 @@ package repro.core.schema
   *
   * `sizes` are cardinality hints (paper: "cardinality constraints") consumed
   * by the root-assignment heuristic and by the engine's join strategy (a view
-  * from a smaller relation is broadcast); they never affect answers. The
-  * relations' declared keys, by contrast, must hold: a broken key gives wrong
-  * answers.
+  * from a smaller relation is broadcast); they never affect answers. Nor do
+  * the relations' declared keys: a broken key leaves every answer exact, but
+  * the views it widens or projects then hold more rows than their keys
+  * promise.
   */
 final case class JoinTree(
     relations: Seq[Relation],

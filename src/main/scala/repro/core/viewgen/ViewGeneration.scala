@@ -120,10 +120,16 @@ object ViewGeneration {
 
   /** Canonical signature of a partial aggregate: its local factors plus the
     * recursive signatures of the child partials it multiplies (wrapped in the
-    * child view's identity). Independent of query and insertion order.
+    * child view's direction). Independent of query and insertion order.
+    *
+    * The child views' keys are left out: they do not change the SUM over the
+    * subtree's join, and within one plan a view's keys fix its child views'
+    * keys. So the same partial in a plan whose batch carries fewer attributes
+    * on the child views (CART's last level) has the same signature, and
+    * [[repro.core.exec.LmfaoExec.run]] may lend it from a wider view.
     */
   private def signature(factorTags: Seq[String], children: Seq[(ViewId, String)]): String = {
-    val parts = factorTags.sorted ++ children.map { case (vid, s) => s"${vid.label}{$s}" }.sorted
+    val parts = factorTags.sorted ++ children.map { case (vid, s) => s"${vid.from}>${vid.to}{$s}" }.sorted
     if (parts.isEmpty) "1" else parts.mkString("*")
   }
 

@@ -75,6 +75,7 @@ object DecisionTree {
       }
       // A node at maxDepth is a leaf and reads only its totals, which the
       // first feature's statistics hold: the last level runs that one query.
+      // Its views carry fewer keys than the root's, which still lend to it.
       val needed = if (depth + 1 >= maxDepth) features.take(1) else features
       val below =
         if (children.isEmpty) Iterator.empty

@@ -1,9 +1,10 @@
 package repro.core.exec
 
+import org.apache.spark.sql.functions.col
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
-import repro.{Check, SparkSpec, TestData}
+import repro.{Check, Oracle, SparkSpec, TestData}
 import repro.core.query._
 import repro.core.schema.JoinTree
 import repro.core.viewgen.{RootAssignment, ViewGeneration}
@@ -190,6 +191,33 @@ class PropertyOracleSpec extends SparkSpec {
     }
     // Vacuous unless the engine's roots differ from choose's in some batch.
     assert(differ.contains(true))
+  }
+
+  test("random batches over trees whose declared keys the data violates still match DuckDB") {
+    // The keyed trees over the plain chain's and star's rows, which repeat
+    // the join keys that B, C, D1 and D2 declare as their keys.
+    val split = for {
+      (tree, tables, seed0) <- Seq((keyedChainTree, chainTables, 12000), (keyedStarTree, starTables, 13000))
+      i <- 1 to Cases / 2
+    } yield {
+      val batch = sample(batchGen(tree), seed0 + i)
+      val queries = batch.map(_._1)
+      val roots = batch.collect { case (q, Some(r)) => q.name -> r }.toMap
+      withClue(s"seed=${seed0 + i} batch=$batch") {
+        val res = LmfaoExec.run(tables, ViewGeneration.plan(tree, queries, roots))
+        try {
+          queries.foreach(q =>
+            Oracle.assertEquivalent(res.queryResults(q.name), SqlRender.querySql(tree, q), tables.toSeq: _*))
+          // A projection over a broken key keeps several rows of one group.
+          res.plan.views.exists { v =>
+            val f = res.viewFrames(v.id)
+            LmfaoExec.isProjection(tree, v.id) && f.count() > f.select(v.id.keys.map(col): _*).distinct().count()
+          }
+        } finally res.cleanup()
+      }
+    }
+    // Vacuous unless some projection view actually held split rows.
+    assert(split.contains(true))
   }
 
   test("the key check rejects a key that the data violates") {
