@@ -99,11 +99,11 @@ object LmfaoExec {
     * attributes the edge's join keys fix (`JoinTree.determined`: a batch
     * with more group-by attributes carries more of them, on the same rows),
     * (2) every aggregate signature this view needs appears in it, and (3)
-    * every relation of the view's subtree
-    * has the same schema, neighbours and input frame (`eq`) in both runs. A
-    * signature fixes the SUM-of-products over the subtree's join, indicator
-    * factors included, but not the rows of its relations, which a caller may
-    * change (Rk-means' augmented relations), hence (3). The earlier result
+    * every relation of the view's subtree has the same schema, neighbours and
+    * input frame (`eq`) in both runs. A signature fixes the SUM-of-products
+    * over the subtree's join, indicator factors included, but not the rows of
+    * its relations, which a caller may change (Rk-means' augmented
+    * relations), hence (3). The earlier result
     * keeps ownership of the views it lends and must outlive this one.
     *
     * @param tables       one DataFrame per relation of the plan's join tree
