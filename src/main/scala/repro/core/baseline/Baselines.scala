@@ -14,23 +14,10 @@ import repro.core.schema.JoinTree
 object Baselines {
 
   /** Natural join of all relations, composed in BFS order over the tree. */
-  def joinAll(tree: JoinTree, tables: Map[String, DataFrame]): DataFrame = {
-    val start = tree.relations.head.name
-    var acc = tables(start)
-    val seen = scala.collection.mutable.Set(start)
-    val queue = scala.collection.mutable.Queue(start)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      tree.neighbors(n).foreach { m =>
-        if (!seen.contains(m)) {
-          seen += m
-          queue += m
-          acc = acc.join(tables(m), tree.joinKeys(n, m), "inner")
-        }
-      }
+  def joinAll(tree: JoinTree, tables: Map[String, DataFrame]): DataFrame =
+    tree.joinOrder.foldLeft(tables(tree.relations.head.name)) { case (acc, (n, m)) =>
+      acc.join(tables(m), tree.joinKeys(n, m), "inner")
     }
-    acc
-  }
 
   /** Evaluate one query over an (already joined) dataset D; the result
     * columns are the query's `outputColumns`.

@@ -21,9 +21,11 @@ import repro.util.Concurrently
   * single grouped SUM-of-products pass over that frame, and *all query
   * outputs of the group are combined into one pass*, with one grouping set
   * per distinct group-by list (the paper's multi-output plans: e.g. the 86
-  * queries of Retailer's Σ batch become one job). Every view is materialised
-  * (cached), exactly as LMFAO's engine computes and stores each view;
-  * Catalyst/Tungsten play the role of the paper's code-generation layer.
+  * queries of Retailer's Σ batch become one job). Every computed view is
+  * materialised (cached), exactly as LMFAO's engine computes and stores each
+  * view, and nothing else is: a group's join frame is read directly by each
+  * pass over it. Catalyst/Tungsten play the role of the paper's
+  * code-generation layer.
   *
   * A view whose keys include the declared key of its node's relation is a
   * projection of the frame: a `select` of its keys and products, with no
@@ -54,7 +56,7 @@ import repro.util.Concurrently
   * view that several passes read is still computed once, because Spark
   * builds a cached relation's blocks once and makes other readers wait for
   * them. If a pass fails, every other pass still runs to its end; then the
-  * run's cached frames are unpersisted and the first failure is rethrown.
+  * views the run computed are unpersisted and the first failure is rethrown.
   *
   * A later batch of the same model (Rk-means' grid query, CART's level
   * batches) can read views of an earlier [[Result]] instead of computing
@@ -77,19 +79,21 @@ object LmfaoExec {
       queryResults: Map[String, DataFrame],
       viewFrames: Map[ViewId, DataFrame],
       groups: Seq[ViewGroup],
-      caches: Seq[DataFrame],
       plan: Plan,
       inputs: Map[String, DataFrame],
       reused: Set[ViewId],
   ) {
-    /** Unpersist every frame this run cached; lent views stay cached until
+    /** Unpersist every view this run computed; lent views stay cached until
       * the result that computed them is cleaned up.
       */
-    def cleanup(): Unit = {
-      (viewFrames -- reused).values.foreach(_.unpersist())
-      caches.foreach(_.unpersist())
-    }
+    def cleanup(): Unit = unpersistComputed(viewFrames, reused)
   }
+
+  /** Unpersist the one set a run owns: the views it computed, not those an
+    * earlier result lent.
+    */
+  private def unpersistComputed(viewFrames: collection.Map[ViewId, DataFrame], lent: Set[ViewId]): Unit =
+    viewFrames.foreach { case (id, df) => if (!lent(id)) df.unpersist() }
 
   /** Run a plan over the given base relations.
     *
@@ -106,14 +110,14 @@ object LmfaoExec {
     * relations), hence (3). The earlier result
     * keeps ownership of the views it lends and must outlive this one.
     *
-    * @param tables       one DataFrame per relation of the plan's join tree
-    * @param persistViews cache every computed view, and each group's join
-    *                     frame when more than one view reads it (on by default)
-    * @param reuse        an earlier result of the same model whose views may
-    *                     be read instead of computed
+    * Every view the run computes is cached, and nothing else is: each view
+    * pass and each output pass reads its group's join frame directly.
+    *
+    * @param tables one DataFrame per relation of the plan's join tree
+    * @param reuse  an earlier result of the same model whose views may be
+    *               read instead of computed
     */
-  def run(tables: Map[String, DataFrame], plan: Plan, persistViews: Boolean = true,
-          reuse: Option[Result] = None): Result = {
+  def run(tables: Map[String, DataFrame], plan: Plan, reuse: Option[Result] = None): Result = {
     plan.tree.relations.foreach { r =>
       require(tables.contains(r.name), s"missing DataFrame for relation ${r.name}")
       r.attrs.foreach(a => require(tables(r.name).columns.contains(a),
@@ -125,19 +129,13 @@ object LmfaoExec {
     val lent = reuse.fold(Map.empty[ViewId, DataFrame])(borrowable(plan, tables, _))
     val viewFrames = mutable.Map.empty[ViewId, DataFrame] ++= lent
     val queryResults = mutable.Map.empty[String, DataFrame]
-    val caches = mutable.ArrayBuffer.empty[DataFrame]
-    def cache(df: DataFrame): DataFrame = {
-      val f = df.persist(StorageLevel.MEMORY_AND_DISK)
-      caches += f
-      f
-    }
 
     // A group whose views are all borrowed submits no work.
     val pending = groups.filter(g => g.outputs.nonEmpty || g.views.exists(v => !lent.contains(v.id)))
     // Every frame is built here, on the calling thread, in group order; the
     // output passes are then collected at the same time. A failing pass is
     // rethrown only after every pass has ended, so no pass still reads a
-    // frame when the cached frames are unpersisted.
+    // view when the computed views are unpersisted.
     try {
       val passes = pending.flatMap { g =>
         val views = g.views.filterNot(v => lent.contains(v.id))
@@ -148,24 +146,19 @@ object LmfaoExec {
           require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
           acc.join(side, keys.toSeq.sorted, "inner")
         }
-        // One aggregate pass per computed view; share the join frame when
-        // more than one view reads it.
-        val shared =
-          if (persistViews && views.size > 1 && g.incoming.nonEmpty) cache(frame) else frame
-
-        // Materialise every view, as LMFAO itself does: empirically the cached
-        // small aggregates beat re-inlining their subplans into each consumer
-        // (and they are read by the dependency-graph successors).
+        // One pass per computed view over the join frame. Materialise every
+        // view, as LMFAO itself does: empirically the cached small aggregates
+        // beat re-inlining their subplans into each consumer (and they are
+        // read by the dependency-graph successors).
         views.foreach { v =>
           val sums = v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName)))
           val df =
             if (isProjection(plan.tree, v.id)) {
               val rows = plan.tree.sizeOf(v.id.from)
-              shared.select(v.id.keys.map(col) ++ sums.map { case (name, p) => p.as(name) }: _*)
+              frame.select(v.id.keys.map(col) ++ sums.map { case (name, p) => p.as(name) }: _*)
                 .coalesce(((rows + ProjectionPartitionRows - 1) / ProjectionPartitionRows).max(1L).toInt)
-            } else groupedSum(shared, v.id.keys, sums)
-          viewFrames(v.id) =
-            if (persistViews) df.persist(StorageLevel.MEMORY_AND_DISK) else df
+            } else groupedSum(frame, v.id.keys, sums)
+          viewFrames(v.id) = df.persist(StorageLevel.MEMORY_AND_DISK)
         }
 
         // Multi-output pass: all queries of the group are evaluated by one
@@ -174,7 +167,7 @@ object LmfaoExec {
         val sets = g.outputs.map(_.query.groupBy).distinct
         val outs = g.outputs.zipWithIndex.map { case (o, i) => (o, i, sets.indexOf(o.query.groupBy)) }
         if (outs.isEmpty) None
-        else Some(outs -> groupingSets(shared, sets.map { gb =>
+        else Some(outs -> groupingSets(frame, sets.map { gb =>
           gb -> outs.filter(_._1.query.groupBy == gb).flatMap { case (o, i, _) =>
             o.query.measures.zip(o.terms).map { case (m, t) =>
               s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
@@ -203,11 +196,11 @@ object LmfaoExec {
       }
     } catch {
       case e: Throwable =>
-        ((viewFrames.toMap -- lent.keys).values ++ caches).foreach(_.unpersist())
+        unpersistComputed(viewFrames, lent.keySet)
         throw e
     }
 
-    Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq, plan, tables, lent.keySet)
+    Result(queryResults.toMap, viewFrames.toMap, groups, plan, tables, lent.keySet)
   }
 
   /** Whether view `id` is computed as a projection of its group's frame:

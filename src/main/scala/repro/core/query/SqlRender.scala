@@ -11,24 +11,10 @@ import repro.core.schema.JoinTree
 object SqlRender {
 
   /** FROM clause joining every relation of the tree. */
-  def fromClause(tree: JoinTree): String = {
-    val start = tree.relations.head.name
-    val sb = new StringBuilder(start)
-    val seen = scala.collection.mutable.Set(start)
-    val queue = scala.collection.mutable.Queue(start)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      tree.neighbors(n).foreach { m =>
-        if (!seen.contains(m)) {
-          seen += m
-          queue += m
-          val keys = tree.joinKeys(n, m)
-          sb ++= s" JOIN $m USING (${keys.mkString(", ")})"
-        }
-      }
-    }
-    sb.toString
-  }
+  def fromClause(tree: JoinTree): String =
+    (tree.relations.head.name +: tree.joinOrder.map { case (n, m) =>
+      s"JOIN $m USING (${tree.joinKeys(n, m).mkString(", ")})"
+    }).mkString(" ")
 
   /** Full SELECT for an [[AggQuery]] over the natural join of the tree. */
   def querySql(tree: JoinTree, q: AggQuery): String = {

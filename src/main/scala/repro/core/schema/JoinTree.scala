@@ -39,8 +39,24 @@ final case class JoinTree(
     relations.map(r => r.name -> m(r.name)).toMap
   }
 
+  /** Edges (parent, child) in breadth-first order from the first relation,
+    * each node's neighbours in edge order: the join order of the baselines
+    * and of the oracle's SQL.
+    */
+  val joinOrder: Seq[(String, String)] = {
+    val start = relations.head.name
+    val seen = scala.collection.mutable.Set(start)
+    val queue = scala.collection.mutable.Queue(start)
+    val out = scala.collection.mutable.ArrayBuffer.empty[(String, String)]
+    while (queue.nonEmpty) {
+      val n = queue.dequeue()
+      neighbors(n).foreach { m => if (seen.add(m)) { queue += m; out += (n -> m) } }
+    }
+    out.toSeq
+  }
+
   // Connectivity (and therefore, with the edge count check, acyclicity).
-  require(reachableFrom(relations.head.name).size == relations.size, "join tree is not connected")
+  require(joinOrder.size == relations.size - 1, "join tree is not connected")
 
   /** All attributes appearing anywhere in the tree. */
   val allAttrs: Set[String] = relations.flatMap(_.attrs).toSet
@@ -63,16 +79,6 @@ final case class JoinTree(
       neighbors(n).foreach { m => if (holders.contains(m) && !seen.contains(m)) { seen += m; stack.push(m) } }
     }
     require(seen == holders, s"running intersection violated for attribute $a (relations ${holders.mkString(",")})")
-  }
-
-  private def reachableFrom(start: String): Set[String] = {
-    val seen = scala.collection.mutable.Set(start)
-    val stack = scala.collection.mutable.Stack(start)
-    while (stack.nonEmpty) {
-      val n = stack.pop()
-      neighbors(n).foreach { m => if (!seen.contains(m)) { seen += m; stack.push(m) } }
-    }
-    seen.toSet
   }
 
   /** Natural-join attributes between two adjacent relations. */
@@ -131,28 +137,5 @@ final case class JoinTree(
     }
     visit(root, None)
     out.toSeq
-  }
-
-  /** Children of `node` when rooted at `root` (neighbors away from the root). */
-  def childrenToward(node: String, root: String): Seq[String] = {
-    if (node == root) neighbors(node)
-    else {
-      val p = parentToward(node, root)
-      neighbors(node).filterNot(_ == p)
-    }
-  }
-
-  /** Parent of `node` on the path to `root`; errors if node == root. */
-  def parentToward(node: String, root: String): String = {
-    require(node != root, s"$node is the root")
-    // BFS from root; parent of n is its predecessor.
-    val parent = scala.collection.mutable.Map.empty[String, String]
-    val queue = scala.collection.mutable.Queue(root)
-    val seen = scala.collection.mutable.Set(root)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      neighbors(n).foreach { m => if (!seen.contains(m)) { seen += m; parent(m) = n; queue += m } }
-    }
-    parent(node)
   }
 }

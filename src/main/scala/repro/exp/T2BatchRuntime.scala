@@ -18,49 +18,36 @@ object T2BatchRuntime {
 
   final case class Row(dataset: String, method: String, queries: Int, seconds: Double)
 
-  def measure(ds: Workloads.Dataset, queries: Seq[repro.core.query.AggQuery],
-              methods: Set[String]): Seq[Row] = {
-    val out = scala.collection.mutable.ArrayBuffer.empty[Row]
-
-    if (methods("lmfao")) {
-      val (_, t) = Timing.timed {
-        val plan = ViewGeneration.plan(ds.tree, queries)
-        val res = LmfaoExec.run(ds.tables, plan)
-        try res.queryResults.values.foreach(_.collect())
-        finally res.cleanup()
-      }
-      out += Row(ds.name, "LMFAO", queries.size, t)
+  def measure(ds: Workloads.Dataset, queries: Seq[repro.core.query.AggQuery]): Seq[Row] = {
+    val (_, lmfao) = Timing.timed {
+      val plan = ViewGeneration.plan(ds.tree, queries)
+      val res = LmfaoExec.run(ds.tables, plan)
+      try res.queryResults.values.foreach(_.collect())
+      finally res.cleanup()
     }
-    if (methods("sharedjoin")) {
-      val (_, t) = Timing.timed {
-        val (d, results) = Baselines.runSharedJoin(ds.tree, ds.tables, queries)
-        results.values.foreach(_.collect())
-        d.unpersist()
-      }
-      out += Row(ds.name, "SharedJoin", queries.size, t)
+    val (_, sharedJoin) = Timing.timed {
+      val (d, results) = Baselines.runSharedJoin(ds.tree, ds.tables, queries)
+      results.values.foreach(_.collect())
+      d.unpersist()
     }
-    if (methods("perquery")) {
-      val (_, t) = Timing.timed {
-        Baselines.runPerQuery(ds.tree, ds.tables, queries).values.foreach(_.collect())
-      }
-      out += Row(ds.name, "PerQuery", queries.size, t)
+    val (_, perQuery) = Timing.timed {
+      Baselines.runPerQuery(ds.tree, ds.tables, queries).values.foreach(_.collect())
     }
-    out.toSeq
+    Seq("LMFAO" -> lmfao, "SharedJoin" -> sharedJoin, "PerQuery" -> perQuery)
+      .map { case (method, t) => Row(ds.name, method, queries.size, t) }
   }
 
   def run(spark: SparkSession, sf: Double): Table = {
-    val methods = Set("lmfao", "sharedjoin", "perquery")
     val rows = Seq(
       (Workloads.favorita(spark, sf), SigmaBatch.queries(Workloads.favoritaLr)),
       (Workloads.retailer(spark, sf), SigmaBatch.queries(Workloads.retailerLr)),
     ).flatMap { case (ds, queries) =>
       ds.cache()
-      val measured = measure(ds, queries, methods)
+      val measured = measure(ds, queries)
       ds.uncache()
-      val perQuery = measured.find(_.method == "PerQuery").map(_.seconds)
+      val perQuery = measured.find(_.method == "PerQuery").get.seconds
       measured.map { r =>
-        Seq(r.dataset, r.method, r.queries.toString, Timing.fmt(r.seconds),
-          perQuery.map(pq => f"${pq / r.seconds}%.1fx").getOrElse("-"))
+        Seq(r.dataset, r.method, r.queries.toString, Timing.fmt(r.seconds), f"${perQuery / r.seconds}%.1fx")
       }
     }
     Table(

@@ -151,10 +151,10 @@ object Check {
     }
 
   def lmfaoVsDuck(tree: JoinTree, tables: Map[String, DataFrame], queries: Seq[AggQuery],
-                  roots: Map[String, String] = Map.empty, persistViews: Boolean = true,
+                  roots: Map[String, String] = Map.empty,
                   reuse: Option[LmfaoExec.Result] = None): Set[ViewId] = {
     val plan = ViewGeneration.plan(tree, queries, roots)
-    val res = LmfaoExec.run(tables, plan, persistViews, reuse)
+    val res = LmfaoExec.run(tables, plan, reuse)
     try {
       queries.foreach { q =>
         Oracle.assertEquivalent(res.queryResults(q.name), SqlRender.querySql(tree, q), tables.toSeq: _*)

@@ -16,6 +16,7 @@ import org.apache.spark.sql.util.QueryExecutionListener
 import org.apache.spark.storage.StorageLevel
 
 import repro.{Check, Oracle, SparkSpec, TestData}
+import repro.core.group.DependencyGraph
 import repro.core.query._
 import repro.core.viewgen.{Plan, ViewGeneration, ViewId}
 
@@ -247,26 +248,40 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     res.cleanup()
   }
 
-  test("run with persistViews=false still produces correct results") {
-    val query = q("q", Seq("d"), Seq(Measure.sum("s", "a")))
-    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, Seq(query))
-    val res = LmfaoExec.run(chainTables, plan, persistViews = false)
-    Oracle.assertEquivalent(res.queryResults("q"),
-      repro.core.query.SqlRender.querySql(chainTree, query), chainTables.toSeq: _*)
+  test("combined output passes match DuckDB with caching on and off") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.size
+    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, atB, rootB)
+    assert(plan.views.size == 2)
+    val res = LmfaoExec.run(chainTables, plan)
+    val outGroups = res.groups.filter(_.outputs.nonEmpty)
+    assert(outGroups.map(_.outputs.size) == Seq(6))
+    // Caching is on for the two computed views A→B and C→B, and off for the
+    // output group: one uncached pass, collected once.
+    assert(sc.getPersistentRDDs.size - before == plan.views.size)
+    assert(res.queryResults.values.forall(_.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec]))
+    res.cleanup()
+    assert(sc.getPersistentRDDs.size == before)
+    Check.lmfaoVsDuck(chainTree, chainTables, atB, rootB)
   }
 
-  test("combined output passes match DuckDB with caching on and off") {
-    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, atB, rootB)
-    for (persist <- Seq(true, false)) {
-      val res = LmfaoExec.run(chainTables, plan, persistViews = persist)
-      val outGroups = res.groups.filter(_.outputs.nonEmpty)
-      assert(outGroups.map(_.outputs.size) == Seq(6))
-      // The output group is one uncached pass, collected once.
-      assert(res.caches.isEmpty)
-      assert(res.queryResults.values.forall(_.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec]))
-      res.cleanup()
-      Check.lmfaoVsDuck(chainTree, chainTables, atB, rootB, persistViews = persist)
-    }
+  test("a group of several views over one incoming view caches exactly the computed views") {
+    val sc = spark.sparkContext
+    val batch = Seq(q("q1", Seq("c"), Seq(Measure.count("n"))), q("q2", Nil, Seq(Measure.count("n"))))
+    val roots = Map("q1" -> "A", "q2" -> "A")
+    val plan = ViewGeneration.plan(chainTree, batch, roots)
+    val toA = DependencyGraph.groups(plan).filter(g => g.node == "B" && g.direction.contains("A"))
+    assert(toA.map(_.views.map(_.id).toSet) == Seq(Set(ViewId("B", "A", Seq("b")), ViewId("B", "A", Seq("b", "c")))))
+    assert(toA.head.incoming == Seq(ViewId("C", "B", Seq("c"))))
+    val before = sc.getPersistentRDDs.size
+    val res = LmfaoExec.run(chainTables, plan)
+    try {
+      res.queryResults.values.foreach(_.collect())
+      assert(res.viewFrames.size == 3)
+      assert(sc.getPersistentRDDs.size - before == res.viewFrames.size)
+    } finally res.cleanup()
+    assert(sc.getPersistentRDDs.size == before)
+    Check.lmfaoVsDuck(chainTree, chainTables, batch, roots)
   }
 
   test("a view from a smaller relation is broadcast, one from a larger relation is shuffled") {

@@ -96,7 +96,6 @@ class ViewContentSpec extends SparkSpec {
     res.queryResults.values.foreach(_.collect())
     res.cleanup()
     res.viewFrames.values.foreach(df => assert(!df.storageLevel.useMemory && !df.storageLevel.useDisk))
-    res.caches.foreach(df => assert(!df.storageLevel.useMemory && !df.storageLevel.useDisk))
   }
 
   test("opposite-root queries agree through opposite view directions") {

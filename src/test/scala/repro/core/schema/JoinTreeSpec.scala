@@ -74,26 +74,16 @@ class JoinTreeSpec extends AnyFunSuite {
     assert(edges.last == (("B", "C")))
   }
 
-  test("parentToward follows the path to the root") {
-    val t = diamondless
-    assert(t.parentToward("C", "A") == "B")
-    assert(t.parentToward("A", "C") == "B")
-    assert(t.parentToward("D", "A") == "B")
-  }
-
-  test("parentToward rejects the root itself") {
-    assertThrows[IllegalArgumentException](diamondless.parentToward("A", "A"))
-  }
-
-  test("childrenToward at the root lists all neighbors") {
-    val t = diamondless
-    assert(t.childrenToward("B", "B").toSet == Set("A", "C", "D"))
-  }
-
-  test("childrenToward away from the root excludes the parent") {
-    val t = diamondless
-    assert(t.childrenToward("B", "A").toSet == Set("C", "D"))
-    assert(t.childrenToward("C", "A").isEmpty)
+  test("joinOrder lists (parent, child) edges breadth-first from the first relation") {
+    // A's neighbours are B then D; depth-first would visit C and E before D.
+    val t = JoinTree(
+      Seq(Relation("A", Seq("a", "b", "d")), Relation("B", Seq("b", "c")), Relation("C", Seq("c", "e")),
+        Relation("D", Seq("d", "x")), Relation("E", Seq("e", "y"))),
+      Seq(("A", "B"), ("B", "C"), ("A", "D"), ("C", "E")),
+    )
+    assert(t.joinOrder == Seq("A" -> "B", "A" -> "D", "B" -> "C", "C" -> "E"))
+    assert(diamondless.joinOrder == Seq("A" -> "B", "B" -> "C", "B" -> "D"))
+    assert(JoinTree(Seq(Relation("X", Seq("x"))), Nil).joinOrder.isEmpty)
   }
 
   test("sizeOf falls back to 1 for unknown relations") {

@@ -53,7 +53,7 @@ class ExperimentsSpec extends SparkSpec {
   test("T2 measurement harness produces rows for every method at micro scale") {
     val ds = Workloads.favorita(spark, 0.001).cache()
     val queries = repro.ml.linreg.SigmaBatch.queries(Workloads.favoritaLr).take(6)
-    val rows = T2BatchRuntime.measure(ds, queries, Set("lmfao", "sharedjoin", "perquery"))
+    val rows = T2BatchRuntime.measure(ds, queries)
     ds.uncache()
     assert(rows.map(_.method).toSet == Set("LMFAO", "SharedJoin", "PerQuery"))
     assert(rows.forall(_.seconds > 0))
