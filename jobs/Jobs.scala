@@ -8,10 +8,10 @@ import org.apache.spark.sql.SparkSession
 object JobRunner {
   /** The session settings of every job, bench and test: `local[*]` and 64
     * shuffle partitions unless the environment says otherwise, and no
-    * automatic broadcast (the engine hints a broadcast itself where a view is
-    * provably the smaller side). Cached views may change their output
-    * partitioning, so adaptive execution coalesces each small view to the
-    * few partitions it needs.
+    * automatic broadcast (the engine hints a broadcast itself on the smaller
+    * side of each join, by the relations' sizes). Cached views may change
+    * their output partitioning, so adaptive execution coalesces each small
+    * view to the few partitions it needs.
     */
   def builder(appName: String): SparkSession.Builder =
     SparkSession.builder()

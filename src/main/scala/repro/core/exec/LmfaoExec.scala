@@ -21,11 +21,18 @@ import repro.util.Concurrently
   * single grouped SUM-of-products pass over that frame, and *all query
   * outputs of the group are combined into one pass*, with one grouping set
   * per distinct group-by list (the paper's multi-output plans: e.g. the 86
-  * queries of Retailer's Σ batch become one job). Every computed view is
-  * materialised (cached), exactly as LMFAO's engine computes and stores each
-  * view, and nothing else is: a group's join frame is read directly by each
-  * pass over it. Catalyst/Tungsten play the role of the paper's
-  * code-generation layer.
+  * queries of Retailer's Σ batch become one job). Catalyst/Tungsten play
+  * the role of the paper's code-generation layer.
+  *
+  * Every computed aggregated view is cached, as LMFAO's engine stores each
+  * view: it costs a shuffle, and later groups and batches (Rk-means' grid
+  * batch, CART's levels) read it again. Nothing else is cached: a group's
+  * join frame is read directly by each pass over it, and a projection view
+  * (below) is kept as its `select`, so its consumer's job scans the
+  * relation again. Storing a view is not free on Spark: adaptive execution
+  * reads a cached relation through a stage of its own, one more job before
+  * the consumer's broadcast job, whereas an uncached projection is computed
+  * inside that broadcast job.
   *
   * A view whose keys include the declared key of its node's relation is a
   * projection of the frame: a `select` of its keys and products, with no
@@ -40,13 +47,20 @@ import repro.util.Concurrently
   * split rows add up to the same sums. A projection is coalesced to one
   * partition per million rows of its relation by `JoinTree.sizes` (one
   * partition when the size is missing), as adaptive execution coalesces the
-  * small aggregated views.
+  * small cached views.
   *
-  * An incoming view is broadcast when its relation is smaller than the
-  * group's node by `JoinTree.sizes`: the view has at most |R_from| rows and
-  * the many-to-one join leaves at most |R_node| rows, so the view is the
-  * smaller side. Each output pass is collected once, and every query result
-  * is returned as a driver-local frame.
+  * Each join of the fold broadcasts its smaller side by `JoinTree.sizes`.
+  * The incoming view V_{from→node} has at most |R_from| rows, and the
+  * group's frame before the join, the node's relation joined with the views
+  * folded in before, has at most |R_node| rows. Both bounds hold when every
+  * view carries only attributes that its join keys fix, so that each join
+  * is many-to-one. The view is broadcast when |R_from| < |R_node|, the frame
+  * when |R_node| < |R_from| (Transactions receiving V_{Sales→Transactions}),
+  * and both sides are shuffled when the sizes are equal or either is
+  * missing. A view that carries other attributes can break the bounds; the
+  * choice is then a guess, and it never changes answers. Each output pass is
+  * collected once, and every query result is returned as a driver-local
+  * frame.
   *
   * Output passes are independent of one another, so once every frame is
   * built they are collected at the same time (task parallelism over the
@@ -68,7 +82,7 @@ object LmfaoExec {
   private val ProjectionPartitionRows = 1000000L
 
   /** Execution result: per-query driver-local DataFrames (collecting one
-    * starts no Spark job) plus the materialised views and the groups that
+    * starts no Spark job) plus the view frames and the groups that
     * produced them (for inspection and benchmarks).
     *
     * @param plan     the plan that was run
@@ -110,8 +124,10 @@ object LmfaoExec {
     * relations), hence (3). The earlier result
     * keeps ownership of the views it lends and must outlive this one.
     *
-    * Every view the run computes is cached, and nothing else is: each view
-    * pass and each output pass reads its group's join frame directly.
+    * Every aggregated view the run computes is cached, and nothing else is:
+    * a projection view is kept as its `select`, and each view pass and each
+    * output pass reads its group's join frame directly. A lent projection
+    * is computed again from the same inputs, which condition (3) ensures.
     *
     * @param tables one DataFrame per relation of the plan's join tree
     * @param reuse  an earlier result of the same model whose views may be
@@ -141,24 +157,24 @@ object LmfaoExec {
         val views = g.views.filterNot(v => lent.contains(v.id))
         val frame = g.incoming.foldLeft(tables(g.node)) { (acc, vid) =>
           val vf = viewFrames(vid)
-          val side = if (plan.tree.sizeOf(vid.from) < plan.tree.sizeOf(g.node)) broadcast(vf) else vf
-          val keys = acc.columns.toSet intersect vid.keys.toSet
+          val keys = (acc.columns.toSet intersect vid.keys.toSet).toSeq.sorted
           require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
-          acc.join(side, keys.toSeq.sorted, "inner")
+          (plan.tree.sizes.get(vid.from), plan.tree.sizes.get(g.node)) match {
+            case (Some(from), Some(node)) if from < node => acc.join(broadcast(vf), keys, "inner")
+            case (Some(from), Some(node)) if node < from => broadcast(acc).join(vf, keys, "inner")
+            case _ => acc.join(vf, keys, "inner")
+          }
         }
-        // One pass per computed view over the join frame. Materialise every
-        // view, as LMFAO itself does: empirically the cached small aggregates
-        // beat re-inlining their subplans into each consumer (and they are
-        // read by the dependency-graph successors).
+        // One pass per computed view over the join frame; only aggregated
+        // views are cached, a projection is scanned again by its consumer.
         views.foreach { v =>
           val sums = v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName)))
-          val df =
+          viewFrames(v.id) =
             if (isProjection(plan.tree, v.id)) {
               val rows = plan.tree.sizeOf(v.id.from)
               frame.select(v.id.keys.map(col) ++ sums.map { case (name, p) => p.as(name) }: _*)
                 .coalesce(((rows + ProjectionPartitionRows - 1) / ProjectionPartitionRows).max(1L).toInt)
-            } else groupedSum(frame, v.id.keys, sums)
-          viewFrames(v.id) = df.persist(StorageLevel.MEMORY_AND_DISK)
+            } else groupedSum(frame, v.id.keys, sums).persist(StorageLevel.MEMORY_AND_DISK)
         }
 
         // Multi-output pass: all queries of the group are evaluated by one

@@ -9,8 +9,8 @@ package repro.core.schema
   * decomposition sound.
   *
   * `sizes` are cardinality hints (paper: "cardinality constraints") consumed
-  * by the root-assignment heuristic and by the engine's join strategy (a view
-  * from a smaller relation is broadcast); they never affect answers. Nor do
+  * by the root-assignment heuristic and by the engine's join strategy (the
+  * smaller side of each join is broadcast); they never affect answers. Nor do
   * the relations' declared keys: a broken key leaves every answer exact, but
   * the views it widens or projects then hold more rows than their keys
   * promise.

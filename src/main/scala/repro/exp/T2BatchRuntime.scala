@@ -27,8 +27,7 @@ object T2BatchRuntime {
     }
     val (_, sharedJoin) = Timing.timed {
       val (d, results) = Baselines.runSharedJoin(ds.tree, ds.tables, queries)
-      results.values.foreach(_.collect())
-      d.unpersist()
+      try results.values.foreach(_.collect()) finally d.unpersist()
     }
     val (_, perQuery) = Timing.timed {
       Baselines.runPerQuery(ds.tree, ds.tables, queries).values.foreach(_.collect())
@@ -43,8 +42,7 @@ object T2BatchRuntime {
       (Workloads.retailer(spark, sf), SigmaBatch.queries(Workloads.retailerLr)),
     ).flatMap { case (ds, queries) =>
       ds.cache()
-      val measured = measure(ds, queries)
-      ds.uncache()
+      val measured = try measure(ds, queries) finally ds.uncache()
       val perQuery = measured.find(_.method == "PerQuery").get.seconds
       measured.map { r =>
         Seq(r.dataset, r.method, r.queries.toString, Timing.fmt(r.seconds), f"${perQuery / r.seconds}%.1fx")

@@ -25,41 +25,40 @@ object T3LinReg {
     val f = Workloads.retailerLr
     val contOnly = Features(f.label, f.continuous, Nil)
     val ds = Workloads.retailer(spark, sf).cache()
-
-    // LMFAO: one-off Sigma batch, then dense in-memory BGD per iteration budget.
-    val (sigma, tSigma) = Timing.timed {
-      val plan = ViewGeneration.plan(ds.tree, SigmaBatch.queries(contOnly))
-      val res = LmfaoExec.run(ds.tables, plan)
-      try Sigma.assemble(res.queryResults, contOnly) finally res.cleanup()
-    }
-
-    // Baseline: materialise D once (charged to the baseline), scan per iteration.
-    val (d, tJoin) = Timing.timed {
-      val joined = Baselines.joinAll(ds.tree, ds.tables).persist(StorageLevel.MEMORY_AND_DISK)
-      joined.count()
-      joined
-    }
-
-    val rows = iterations.map { iters =>
-      val (lmfaoFit, tLmfaoIters) = Timing.timed {
-        LinearRegression.trainBgd(sigma, lambda, maxIters = iters)
+    val rows = try {
+      // LMFAO: one-off Sigma batch, then dense in-memory BGD per iteration budget.
+      val (sigma, tSigma) = Timing.timed {
+        val plan = ViewGeneration.plan(ds.tree, SigmaBatch.queries(contOnly))
+        val res = LmfaoExec.run(ds.tables, plan)
+        try Sigma.assemble(res.queryResults, contOnly) finally res.cleanup()
       }
-      val (baseFit, tBase) = Timing.timed {
-        GradientBaseline.train(d, contOnly.continuous, contOnly.label, lambda, iters)
-      }
-      val tLmfao = tSigma + tLmfaoIters
-      val tBaseline = tJoin + tBase
-      Seq(
-        iters.toString,
-        Timing.fmt(tSigma), Timing.fmt(tLmfaoIters), Timing.fmt(tLmfao),
-        Timing.fmt(tJoin), Timing.fmt(tBase), Timing.fmt(tBaseline),
-        f"${tBaseline / tLmfao}%.1fx",
-        f"${lmfaoFit.objective.last}%.4g", f"${baseFit.objective.last}%.4g",
-      )
-    }
 
-    d.unpersist()
-    ds.uncache()
+      // Baseline: materialise D once (charged to the baseline), scan per iteration.
+      val (d, tJoin) = Timing.timed {
+        val joined = Baselines.joinAll(ds.tree, ds.tables).persist(StorageLevel.MEMORY_AND_DISK)
+        joined.count()
+        joined
+      }
+
+      try iterations.map { iters =>
+        val (lmfaoFit, tLmfaoIters) = Timing.timed {
+          LinearRegression.trainBgd(sigma, lambda, maxIters = iters)
+        }
+        val (baseFit, tBase) = Timing.timed {
+          GradientBaseline.train(d, contOnly.continuous, contOnly.label, lambda, iters)
+        }
+        val tLmfao = tSigma + tLmfaoIters
+        val tBaseline = tJoin + tBase
+        Seq(
+          iters.toString,
+          Timing.fmt(tSigma), Timing.fmt(tLmfaoIters), Timing.fmt(tLmfao),
+          Timing.fmt(tJoin), Timing.fmt(tBase), Timing.fmt(tBaseline),
+          f"${tBaseline / tLmfao}%.1fx",
+          f"${lmfaoFit.objective.last}%.4g", f"${baseFit.objective.last}%.4g",
+        )
+      } finally d.unpersist()
+    } finally ds.uncache()
+
     Table(
       s"T3: ridge LR by BGD at SF=$sf - Sigma-once (LMFAO) vs scan-per-iteration",
       Seq("iters", "Sigma batch s", "BGD s", "LMFAO total s",

@@ -22,73 +22,74 @@ object T4DecisionTree {
 
   def run(spark: SparkSession, sf: Double): Table = {
     val ds = Workloads.retailer(spark, sf).cache()
-    val features = Workloads.retailerDt
-    val label = Workloads.retailerDtLabel
+    try {
+      val features = Workloads.retailerDt
+      val label = Workloads.retailerDtLabel
 
-    // Root-node split: LMFAO batch.
-    val (lmfaoStats, tLmfao) = Timing.timed {
-      DecisionTree.nodeStats(ds.tree, ds.tables, features, label, Nil)
-    }
-    val lmfaoSplit = SplitFinder.bestSplit(lmfaoStats, features)
-
-    // Root-node split: per-feature independent join+aggregate jobs.
-    val (baseStats, tPerFeature) = Timing.timed {
-      val batch = NodeBatch.queries(features, label, Nil)
-      NodeBatch.stats(batch, Baselines.runPerQuery(ds.tree, ds.tables, batch))
-    }
-    val baseSplit = SplitFinder.bestSplit(baseStats, features)
-    require(lmfaoSplit.map(_.predicate) == baseSplit.map(_.predicate),
-      s"engines disagree on the best split: $lmfaoSplit vs $baseSplit")
-
-    // Per-condition baseline (paper's per-aggregate execution): sample
-    // conditions evenly, run each as its own join+aggregate job, extrapolate.
-    val allConds: Seq[Predicate] = features.flatMap { f =>
-      val vs = lmfaoStats(f.attr).map(_.value).sorted
-      f.kind match {
-        case FeatureKind.Continuous => vs.init.map(v => Predicate(f.attr, CmpOp.Le, v))
-        case FeatureKind.Categorical => vs.map(v => Predicate(f.attr, CmpOp.Eq, v))
+      // Root-node split: LMFAO batch.
+      val (lmfaoStats, tLmfao) = Timing.timed {
+        DecisionTree.nodeStats(ds.tree, ds.tables, features, label, Nil)
       }
-    }
-    val sampleSize = math.min(24, allConds.size)
-    val sampled = (0 until sampleSize).map(i => allConds(i * allConds.size / sampleSize))
-    val global = AggQuery("cond", Nil,
-      Seq(Measure.count("cnt"), Measure.sum("sy", label), Measure.sumSquare("sy2", label)))
-    val (_, tSample) = Timing.timed {
-      sampled.foreach { cond =>
-        Baselines.aggOver(Baselines.joinAll(ds.tree, ds.tables).where(cond.column), global).collect()
+      val lmfaoSplit = SplitFinder.bestSplit(lmfaoStats, features)
+
+      // Root-node split: per-feature independent join+aggregate jobs.
+      val (baseStats, tPerFeature) = Timing.timed {
+        val batch = NodeBatch.queries(features, label, Nil)
+        NodeBatch.stats(batch, Baselines.runPerQuery(ds.tree, ds.tables, batch))
       }
-    }
-    val tPerCondition = tSample / sampleSize * allConds.size
+      val baseSplit = SplitFinder.bestSplit(baseStats, features)
+      require(lmfaoSplit.map(_.predicate) == baseSplit.map(_.predicate),
+        s"engines disagree on the best split: $lmfaoSplit vs $baseSplit")
 
-    // Full depth-2 tree through the engine.
-    val (trained, tTree) = Timing.timed {
-      DecisionTree.train(ds.tree, ds.tables, features, label, maxDepth = 2, minLeaf = 10)
-    }
+      // Per-condition baseline (paper's per-aggregate execution): sample
+      // conditions evenly, run each as its own join+aggregate job, extrapolate.
+      val allConds: Seq[Predicate] = features.flatMap { f =>
+        val vs = lmfaoStats(f.attr).map(_.value).sorted
+        f.kind match {
+          case FeatureKind.Continuous => vs.init.map(v => Predicate(f.attr, CmpOp.Le, v))
+          case FeatureKind.Categorical => vs.map(v => Predicate(f.attr, CmpOp.Eq, v))
+        }
+      }
+      val sampleSize = math.min(24, allConds.size)
+      val sampled = (0 until sampleSize).map(i => allConds(i * allConds.size / sampleSize))
+      val global = AggQuery("cond", Nil,
+        Seq(Measure.count("cnt"), Measure.sum("sy", label), Measure.sumSquare("sy2", label)))
+      val (_, tSample) = Timing.timed {
+        sampled.foreach { cond =>
+          Baselines.aggOver(Baselines.joinAll(ds.tree, ds.tables).where(cond.column), global).collect()
+        }
+      }
+      val tPerCondition = tSample / sampleSize * allConds.size
 
-    val candidates = lmfaoStats.map { case (a, vs) => a -> vs.size }
-    val conceptual = NodeBatch.conceptualAggregates(candidates, features)
-    ds.uncache()
+      // Full depth-2 tree through the engine.
+      val (trained, tTree) = Timing.timed {
+        DecisionTree.train(ds.tree, ds.tables, features, label, maxDepth = 2, minLeaf = 10)
+      }
 
-    Table(
-      s"T4: CART node batches at SF=$sf",
-      Seq("experiment", "method", "jobs", "conceptual aggs", "seconds", "speedup vs LMFAO"),
-      Seq(
-        Seq("root split", "LMFAO", features.size.toString, conceptual.toString,
-          Timing.fmt(tLmfao), "1.0x"),
-        Seq("root split", "PerFeature jobs", features.size.toString, conceptual.toString,
-          Timing.fmt(tPerFeature), f"${tPerFeature / tLmfao}%.1fx"),
-        Seq("root split", s"PerCondition (extrapolated from $sampleSize)", allConds.size.toString,
-          conceptual.toString, Timing.fmt(tPerCondition), f"${tPerCondition / tLmfao}%.1fx"),
-        Seq(s"depth-2 tree (${trained.nodes.size} nodes in ${trained.root.depth + 1} LMFAO plans)",
-          "LMFAO", "-", "-", Timing.fmt(tTree), "-"),
-      ),
-      notes = Seq(
-        s"Best split (LMFAO and baseline agree): ${lmfaoSplit.map(s => s.predicate.sql).getOrElse("none")}.",
-        "Paper anchor: 3,141 conceptual aggregates per node on the 43-attribute",
-        s"Retailer; the lite schema explores $conceptual here, covered by ${features.size} grouped queries.",
-        "PerCondition is the paper's per-aggregate comparison: its cost scales with",
-        "the number of candidate conditions, LMFAO's with the number of features.",
-      ),
-    )
+      val candidates = lmfaoStats.map { case (a, vs) => a -> vs.size }
+      val conceptual = NodeBatch.conceptualAggregates(candidates, features)
+
+      Table(
+        s"T4: CART node batches at SF=$sf",
+        Seq("experiment", "method", "jobs", "conceptual aggs", "seconds", "speedup vs LMFAO"),
+        Seq(
+          Seq("root split", "LMFAO", features.size.toString, conceptual.toString,
+            Timing.fmt(tLmfao), "1.0x"),
+          Seq("root split", "PerFeature jobs", features.size.toString, conceptual.toString,
+            Timing.fmt(tPerFeature), f"${tPerFeature / tLmfao}%.1fx"),
+          Seq("root split", s"PerCondition (extrapolated from $sampleSize)", allConds.size.toString,
+            conceptual.toString, Timing.fmt(tPerCondition), f"${tPerCondition / tLmfao}%.1fx"),
+          Seq(s"depth-2 tree (${trained.nodes.size} nodes in ${trained.root.depth + 1} LMFAO plans)",
+            "LMFAO", "-", "-", Timing.fmt(tTree), "-"),
+        ),
+        notes = Seq(
+          s"Best split (LMFAO and baseline agree): ${lmfaoSplit.map(s => s.predicate.sql).getOrElse("none")}.",
+          "Paper anchor: 3,141 conceptual aggregates per node on the 43-attribute",
+          s"Retailer; the lite schema explores $conceptual here, covered by ${features.size} grouped queries.",
+          "PerCondition is the paper's per-aggregate comparison: its cost scales with",
+          "the number of candidate conditions, LMFAO's with the number of features.",
+        ),
+      )
+    } finally ds.uncache()
   }
 }

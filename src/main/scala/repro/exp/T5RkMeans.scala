@@ -17,41 +17,41 @@ object T5RkMeans {
     val k = 5
     val kPerDim = 5
     val ds = Workloads.favorita(spark, sf).cache()
-
-    val (rk, tRk) = Timing.timed {
-      RkMeans.run(spark, ds.tree, ds.tables, dims, k = k, kPerDim = kPerDim)
-    }
-    val rkCost = RkMeans.fullCost(spark, ds.tree, ds.tables, dims, rk.centroids)
-
-    val lloydSeeds = Seq(1L, 2L, 3L, 4L, 5L)
-    val (lloydCosts, tLloyd) = Timing.timed {
-      lloydSeeds.map { s =>
-        val m = RkMeans.fullLloyd(spark, ds.tree, ds.tables, dims, k, seed = s)
-        RkMeans.fullCost(spark, ds.tree, ds.tables, dims, m.centroids)
+    try {
+      val (rk, tRk) = Timing.timed {
+        RkMeans.run(spark, ds.tree, ds.tables, dims, k = k, kPerDim = kPerDim)
       }
-    }
-    val lloydAvg = lloydCosts.sum / lloydCosts.size
-    val relApprox = (rkCost - lloydAvg) / lloydAvg
-    val relSize = rk.coresetSize / rk.datasetSize
-    ds.uncache()
+      val rkCost = RkMeans.fullCost(spark, ds.tree, ds.tables, dims, rk.centroids)
 
-    Table(
-      s"T5: Rk-means over Favorita dims=${dims.mkString(",")} k=$k at SF=$sf",
-      Seq("metric", "value", "paper expectation"),
-      Seq(
-        Seq("|D| (join size)", f"${rk.datasetSize}%.0f", "120M tuples (full data)"),
-        Seq("coreset size |G|", rk.coresetSize.toString, s"<= kPerDim^n = ${math.pow(kPerDim, dims.size).toLong}"),
-        Seq("relative coreset size |G|/|D|", f"$relSize%.2e", "'relative size of the grid coreset' << 1"),
-        Seq("Rk-means cost on D", f"$rkCost%.6g", "-"),
-        Seq("Lloyd's cost on D (avg 5 seeds)", f"$lloydAvg%.6g", "-"),
-        Seq("relative approximation", f"$relApprox%.4f", "small constant factor (Rk-means guarantee)"),
-        Seq("Rk-means total seconds", Timing.fmt(tRk), "'a few seconds' end-to-end"),
-        Seq("Lloyd's comparator seconds", Timing.fmt(tLloyd), "-"),
-      ),
-      notes = Seq(
-        "Steps 1 and 3 (projection batch + grid coreset) run through the LMFAO",
-        "engine; steps 2 and 4 are weighted Lloyd's on driver-side data.",
-      ),
-    )
+      val lloydSeeds = Seq(1L, 2L, 3L, 4L, 5L)
+      val (lloydCosts, tLloyd) = Timing.timed {
+        lloydSeeds.map { s =>
+          val m = RkMeans.fullLloyd(spark, ds.tree, ds.tables, dims, k, seed = s)
+          RkMeans.fullCost(spark, ds.tree, ds.tables, dims, m.centroids)
+        }
+      }
+      val lloydAvg = lloydCosts.sum / lloydCosts.size
+      val relApprox = (rkCost - lloydAvg) / lloydAvg
+      val relSize = rk.coresetSize / rk.datasetSize
+
+      Table(
+        s"T5: Rk-means over Favorita dims=${dims.mkString(",")} k=$k at SF=$sf",
+        Seq("metric", "value", "paper expectation"),
+        Seq(
+          Seq("|D| (join size)", f"${rk.datasetSize}%.0f", "120M tuples (full data)"),
+          Seq("coreset size |G|", rk.coresetSize.toString, s"<= kPerDim^n = ${math.pow(kPerDim, dims.size).toLong}"),
+          Seq("relative coreset size |G|/|D|", f"$relSize%.2e", "'relative size of the grid coreset' << 1"),
+          Seq("Rk-means cost on D", f"$rkCost%.6g", "-"),
+          Seq("Lloyd's cost on D (avg 5 seeds)", f"$lloydAvg%.6g", "-"),
+          Seq("relative approximation", f"$relApprox%.4f", "small constant factor (Rk-means guarantee)"),
+          Seq("Rk-means total seconds", Timing.fmt(tRk), "'a few seconds' end-to-end"),
+          Seq("Lloyd's comparator seconds", Timing.fmt(tLloyd), "-"),
+        ),
+        notes = Seq(
+          "Steps 1 and 3 (projection batch + grid coreset) run through the LMFAO",
+          "engine; steps 2 and 4 are weighted Lloyd's on driver-side data.",
+        ),
+      )
+    } finally ds.uncache()
   }
 }

@@ -44,9 +44,9 @@ object RkMeans {
           dims: Seq[String], k: Int, kPerDim: Int, seed: Long = 42): Result = {
     require(dims.nonEmpty, "need at least one clustering dimension")
 
-    // Step 1: one LMFAO batch for all n projections. Its views stay cached
-    // through Step 3, which reads every view that avoids the assignment
-    // columns instead of computing it again.
+    // Step 1: one LMFAO batch for all n projections. Its aggregated views
+    // stay cached through Step 3, which reads every view that avoids the
+    // assignment columns instead of computing it again.
     val projRes = LmfaoExec.run(tables, ViewGeneration.plan(tree, projectionQueries(dims)))
     try {
       val projections: Map[String, Seq[(Long, Double)]] = projectionQueries(dims).map { q =>

@@ -47,8 +47,9 @@ object DecisionTree {
 
   def train(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
             label: String, maxDepth: Int, minLeaf: Double = 1.0): Trained = {
-    // The root batch's views stay cached for the whole tree: every level
-    // batch below reads those whose subtree holds no owner of a split attribute.
+    // The root batch's aggregated views stay cached for the whole tree: every
+    // level batch below reads those whose subtree holds no owner of a split
+    // attribute.
     val rootBatch = NodeBatch.queries(features, label, Nil)
     val root = LmfaoExec.run(tables, ViewGeneration.plan(tree, rootBatch))
 

@@ -10,8 +10,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). The session comes from `JobRunner.builder`, so tests run the same
   * plans as the jobs and the benchmark: auto-broadcast stays off, and every
-  * broadcast join is an explicit hint in the program (small views in
-  * `LmfaoExec`, assignment relations in `RkMeans`).
+  * broadcast join is an explicit hint in the program (the smaller side of
+  * each join in `LmfaoExec`, assignment relations in `RkMeans`).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -7,6 +7,7 @@ import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.catalyst.optimizer.{BuildLeft, BuildRight}
 import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
@@ -29,6 +30,8 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   private lazy val (chainTree, chainTables) = TestData.chain(spark)
   private lazy val (starTree, starTables) = TestData.star(spark)
   private lazy val (singleTree, singleTables) = TestData.single(spark)
+  private lazy val (keyedChainTree, keyedChainTables) = TestData.keyedChain(spark)
+  private lazy val (keyedStarTree, keyedStarTables) = TestData.keyedStar(spark)
 
   private def q(name: String, groupBy: Seq[String], measures: Seq[Measure],
                 conds: Seq[Predicate] = Nil) = TestData.where(AggQuery(name, groupBy, measures), conds: _*)
@@ -83,14 +86,17 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     } finally spark.listenerManager.unregister(listener)
   }
 
-  /** Join key names of each hash or sort-merge join of a physical plan,
-    * looking through adaptive execution and into cached relations.
+  /** Join kind and key names of each hash or sort-merge join of a physical
+    * plan, looking through adaptive execution and into cached relations. The
+    * engine joins a group's frame (left) with an incoming view (right), so a
+    * broadcast join names the side it builds.
     */
   private def joinKeys(plan: SparkPlan): Seq[(String, String)] = {
     def keys(ks: Seq[Expression]) = ks.flatMap(_.references.map(_.name)).distinct.mkString(",")
     def go(p: SparkPlan): Seq[(String, String)] = flatMap(p) {
       case s: InMemoryTableScanExec => go(s.relation.cachedPlan)
-      case j: BroadcastHashJoinExec => Seq("broadcast" -> keys(j.leftKeys))
+      case j: BroadcastHashJoinExec if j.buildSide == BuildLeft => Seq("broadcast frame" -> keys(j.leftKeys))
+      case j: BroadcastHashJoinExec if j.buildSide == BuildRight => Seq("broadcast view" -> keys(j.leftKeys))
       case j: SortMergeJoinExec => Seq("sort-merge" -> keys(j.leftKeys))
       case _ => Nil
     }
@@ -284,11 +290,12 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     Check.lmfaoVsDuck(chainTree, chainTables, batch, roots)
   }
 
-  test("a view from a smaller relation is broadcast, one from a larger relation is shuffled") {
-    // Sizes A=60, B=30, C=20: C→B is joined into B by broadcast, A→B by sort-merge.
+  test("the smaller side of each join is broadcast") {
+    // Sizes A=60, B=30, C=20: C→B is joined into B by broadcasting the view,
+    // A→B by broadcasting B's frame.
     val sizedPlan = repro.core.viewgen.ViewGeneration.plan(chainTree, atB, rootB)
     assert(passJoins(LmfaoExec.run(chainTables, sizedPlan).cleanup()) ==
-      Seq("broadcast" -> "c", "sort-merge" -> "b"))
+      Seq("broadcast frame" -> "b", "broadcast view" -> "c"))
     // Without sizes nothing is broadcast.
     val unsizedTree = chainTree.copy(sizes = Map.empty)
     val unsizedPlan = repro.core.viewgen.ViewGeneration.plan(unsizedTree, atB, rootB)
@@ -312,10 +319,42 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("answers do not depend on the join strategy") {
     val mixed = atB :+ q("d1", Seq("d"), Seq(Measure.sum("s", "a")))
-    for (tree <- Seq(chainTree, chainTree.copy(sizes = Map.empty))) {
-      Check.lmfaoVsDuck(tree, chainTables, atB, rootB)
-      Check.lmfaoVsDuck(tree, chainTables, mixed)
-    }
+    // Rooted at the smallest relation, every view from S joins into a
+    // dimension's broadcast frame; at the fact root, every view is broadcast.
+    val star = Seq(
+      q("byU", Seq("u"), Seq(Measure.sum("s", "x"), Measure.count("n"))),
+      q("byV", Seq("v"), Seq(Measure.sumProduct("p", "u", "x"))),
+      q("all", Nil, Seq(Measure.sumProduct("p", "k1", "v"))))
+    for {
+      (tree, tables, batch, roots) <- Seq(
+        (chainTree, chainTables, atB, rootB), (chainTree, chainTables, mixed, Map.empty[String, String]),
+        (keyedChainTree, keyedChainTables, atB, rootB),
+        (keyedChainTree, keyedChainTables, mixed, Map.empty[String, String]),
+        (keyedStarTree, keyedStarTables, star, star.map(_.name -> "D2").toMap),
+        (keyedStarTree, keyedStarTables, star, Map.empty[String, String]))
+      sized <- Seq(tree, tree.copy(sizes = Map.empty))
+    } Check.lmfaoVsDuck(sized, tables, batch, roots)
+  }
+
+  test("only aggregated views are cached; projection views stay uncached") {
+    val sc = spark.sparkContext
+    // Rooted at C, A→B(b) aggregates the unkeyed A; rooted at A, C→B(c) and
+    // B→A(b) are projections of the keyed C and B.
+    val batch = Seq(q("atA", Seq("a"), Seq(Measure.sum("s", "d"))), q("atC", Seq("d"), Seq(Measure.sum("s", "a"))))
+    val roots = Map("atA" -> "A", "atC" -> "C")
+    val before = sc.getPersistentRDDs.size
+    val res = LmfaoExec.run(keyedChainTables, ViewGeneration.plan(keyedChainTree, batch, roots))
+    try {
+      val (projections, aggregated) = res.viewFrames.partition { case (id, _) =>
+        LmfaoExec.isProjection(keyedChainTree, id) }
+      assert(projections.nonEmpty && aggregated.nonEmpty, res.viewFrames.keys.map(_.label))
+      assert(sc.getPersistentRDDs.size - before == aggregated.size)
+      assert(projections.values.forall(_.storageLevel == StorageLevel.NONE))
+      assert(aggregated.values.forall(_.storageLevel != StorageLevel.NONE))
+      batch.foreach(query => Oracle.assertEquivalent(res.queryResults(query.name),
+        SqlRender.querySql(keyedChainTree, query), keyedChainTables.toSeq: _*))
+    } finally res.cleanup()
+    assert(sc.getPersistentRDDs.size == before)
   }
 
   test("AggQuery.collect reads keys as Long and a NULL global sum as 0.0") {
