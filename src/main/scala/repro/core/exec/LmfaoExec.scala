@@ -25,14 +25,13 @@ import repro.util.Concurrently
   * the role of the paper's code-generation layer.
   *
   * Every computed aggregated view is cached, as LMFAO's engine stores each
-  * view: it costs a shuffle, and later groups and batches (Rk-means' grid
-  * batch, CART's levels) read it again. Nothing else is cached: a group's
-  * join frame is read directly by each pass over it, and a projection view
-  * (below) is kept as its `select`, so its consumer's job scans the
-  * relation again. Storing a view is not free on Spark: adaptive execution
-  * reads a cached relation through a stage of its own, one more job before
-  * the consumer's broadcast job, whereas an uncached projection is computed
-  * inside that broadcast job.
+  * view: it costs a shuffle, and later groups of the run may read it again.
+  * Nothing else is cached: a group's join frame is read directly by each
+  * pass over it, and a projection view (below) is kept as its `select`, so
+  * its consumer's job scans the relation again. Storing a view is not free
+  * on Spark: adaptive execution reads a cached relation through a stage of
+  * its own, one more job before the consumer's broadcast job, whereas an
+  * uncached projection is computed inside that broadcast job.
   *
   * A view whose keys include the declared key of its node's relation is a
   * projection of the frame: a `select` of its keys and products, with no
@@ -70,11 +69,12 @@ import repro.util.Concurrently
   * view that several passes read is still computed once, because Spark
   * builds a cached relation's blocks once and makes other readers wait for
   * them. If a pass fails, every other pass still runs to its end; then the
-  * views the run computed are unpersisted and the first failure is rethrown.
+  * views the run cached are unpersisted and the first failure is rethrown.
   *
-  * A later batch of the same model (Rk-means' grid query, CART's level
-  * batches) can read views of an earlier [[Result]] instead of computing
-  * them; see [[run]] for when that is sound.
+  * Each run computes every view of its plan: a batch reads no view of an
+  * earlier run. Over Favorita and Retailer, the models' batches root every
+  * query at the fact table ([[repro.core.viewgen.RootAssignment]]), where
+  * every view is a projection, so those runs cache nothing.
   */
 object LmfaoExec {
 
@@ -85,55 +85,38 @@ object LmfaoExec {
     * starts no Spark job) plus the view frames and the groups that
     * produced them (for inspection and benchmarks).
     *
-    * @param plan     the plan that was run
-    * @param inputs   each relation's input frame, as passed to [[run]]
-    * @param reused   views read from an earlier result; that result owns them
+    * Spark keys its cache by plan, so two live results that compute an
+    * equal aggregated view over the same input frames share one cache
+    * entry, and the first `cleanup()` drops it; the other result's view is
+    * then computed again when read, with the same answers.
+    *
+    * @param plan the plan that was run
     */
   final case class Result(
       queryResults: Map[String, DataFrame],
       viewFrames: Map[ViewId, DataFrame],
       groups: Seq[ViewGroup],
       plan: Plan,
-      inputs: Map[String, DataFrame],
-      reused: Set[ViewId],
   ) {
-    /** Unpersist every view this run computed; lent views stay cached until
-      * the result that computed them is cleaned up.
-      */
-    def cleanup(): Unit = unpersistComputed(viewFrames, reused)
+    /** Unpersist every view this run cached. */
+    def cleanup(): Unit = unpersistComputed(viewFrames)
   }
 
-  /** Unpersist the one set a run owns: the views it computed, not those an
-    * earlier result lent.
+  /** Unpersist the views a run cached; a projection view is not cached, and
+    * unpersisting it is a no-op.
     */
-  private def unpersistComputed(viewFrames: collection.Map[ViewId, DataFrame], lent: Set[ViewId]): Unit =
-    viewFrames.foreach { case (id, df) => if (!lent(id)) df.unpersist() }
+  private def unpersistComputed(viewFrames: collection.Map[ViewId, DataFrame]): Unit =
+    viewFrames.values.foreach(_.unpersist())
 
   /** Run a plan over the given base relations.
     *
-    * With `reuse`, a view is read from that earlier result, renamed to this
-    * plan's aggregate names, instead of computed, when (1) the earlier plan
-    * has a view on the same edge whose keys are this view's keys plus
-    * attributes the edge's join keys fix (`JoinTree.determined`: a batch
-    * with more group-by attributes carries more of them, on the same rows),
-    * (2) every aggregate signature this view needs appears in it, and (3)
-    * every relation of the view's subtree has the same schema, neighbours and
-    * input frame (`eq`) in both runs. A signature fixes the SUM-of-products
-    * over the subtree's join, indicator factors included, but not the rows of
-    * its relations, which a caller may change (Rk-means' augmented
-    * relations), hence (3). The earlier result
-    * keeps ownership of the views it lends and must outlive this one.
-    *
     * Every aggregated view the run computes is cached, and nothing else is:
     * a projection view is kept as its `select`, and each view pass and each
-    * output pass reads its group's join frame directly. A lent projection
-    * is computed again from the same inputs, which condition (3) ensures.
+    * output pass reads its group's join frame directly.
     *
     * @param tables one DataFrame per relation of the plan's join tree
-    * @param reuse  an earlier result of the same model whose views may be
-    *               read instead of computed
     */
-  def run(tables: Map[String, DataFrame], plan: Plan, reuse: Option[Result] = None): Result = {
+  def run(tables: Map[String, DataFrame], plan: Plan): Result = {
     plan.tree.relations.foreach { r =>
       require(tables.contains(r.name), s"missing DataFrame for relation ${r.name}")
       r.attrs.foreach(a => require(tables(r.name).columns.contains(a),
@@ -142,19 +125,15 @@ object LmfaoExec {
     val spark = tables(plan.tree.relations.head.name).sparkSession
 
     val groups = DependencyGraph.groups(plan)
-    val lent = reuse.fold(Map.empty[ViewId, DataFrame])(borrowable(plan, tables, _))
-    val viewFrames = mutable.Map.empty[ViewId, DataFrame] ++= lent
+    val viewFrames = mutable.Map.empty[ViewId, DataFrame]
     val queryResults = mutable.Map.empty[String, DataFrame]
 
-    // A group whose views are all borrowed submits no work.
-    val pending = groups.filter(g => g.outputs.nonEmpty || g.views.exists(v => !lent.contains(v.id)))
     // Every frame is built here, on the calling thread, in group order; the
     // output passes are then collected at the same time. A failing pass is
     // rethrown only after every pass has ended, so no pass still reads a
     // view when the computed views are unpersisted.
     try {
-      val passes = pending.flatMap { g =>
-        val views = g.views.filterNot(v => lent.contains(v.id))
+      val passes = groups.flatMap { g =>
         val frame = g.incoming.foldLeft(tables(g.node)) { (acc, vid) =>
           val vf = viewFrames(vid)
           val keys = (acc.columns.toSet intersect vid.keys.toSet).toSeq.sorted
@@ -165,9 +144,9 @@ object LmfaoExec {
             case _ => acc.join(vf, keys, "inner")
           }
         }
-        // One pass per computed view over the join frame; only aggregated
-        // views are cached, a projection is scanned again by its consumer.
-        views.foreach { v =>
+        // One pass per view over the join frame; only aggregated views are
+        // cached, a projection is scanned again by its consumer.
+        g.views.foreach { v =>
           val sums = v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName)))
           viewFrames(v.id) =
             if (isProjection(plan.tree, v.id)) {
@@ -212,11 +191,11 @@ object LmfaoExec {
       }
     } catch {
       case e: Throwable =>
-        unpersistComputed(viewFrames, lent.keySet)
+        unpersistComputed(viewFrames)
         throw e
     }
 
-    Result(queryResults.toMap, viewFrames.toMap, groups, plan, tables, lent.keySet)
+    Result(queryResults.toMap, viewFrames.toMap, groups, plan)
   }
 
   /** Whether view `id` is computed as a projection of its group's frame:
@@ -225,32 +204,5 @@ object LmfaoExec {
   def isProjection(tree: JoinTree, id: ViewId): Boolean = {
     val key = tree.relationByName(id.from).key
     key.nonEmpty && key.forall(id.keys.contains)
-  }
-
-  /** The views of `earlier` that `plan` may read instead of computing (the
-    * three conditions of [[run]]), each renamed to this plan's aggregate names.
-    */
-  private def borrowable(plan: Plan, inputs: Map[String, DataFrame],
-                         earlier: Result): Map[ViewId, DataFrame] = {
-    val (tree, before) = (plan.tree, earlier.plan.tree)
-    def unchanged(n: String) =
-      before.relationByName.get(n).contains(tree.relationByName(n)) &&
-        before.neighbors(n).toSet == tree.neighbors(n).toSet &&
-        earlier.inputs.get(n).exists(_ eq inputs(n))
-    val earlierOnEdge = earlier.plan.views.groupBy(e => (e.id.from, e.id.to))
-    plan.views.flatMap { v =>
-      val fixed = tree.determined(v.id.from, v.id.to)
-      val lenders = earlierOnEdge.getOrElse((v.id.from, v.id.to), Nil).filter { e =>
-        v.id.keys.forall(e.id.keys.contains) && e.id.keys.forall(k => v.id.keys.contains(k) || fixed(k)) &&
-          v.aggs.forall(a => e.aggs.exists(_.sig == a.sig))
-      }
-      if (lenders.isEmpty || !tree.subtreeNodes(v.id.from, v.id.to).forall(unchanged)) None
-      else {
-        val e = lenders.minBy(_.id.keys.size)
-        val nameOf = e.aggs.map(a => a.sig -> a.name).toMap
-        Some(v.id -> earlier.viewFrames(e.id).select(
-          v.id.keys.map(col) ++ v.aggs.map(a => col(nameOf(a.sig)).as(a.name)): _*))
-      }
-    }.toMap
   }
 }

@@ -13,13 +13,14 @@ import repro.core.schema.JoinTree
   * schema order for determinism. Queries without group-by go to the largest
   * relation.
   *
-  * [[assign]] then gathers a batch at its largest relation F: once `choose`
-  * roots some query at F, every query whose group-by attributes are in F or
-  * fixed by the join keys of an edge into F ([[JoinTree.determined]]) is
-  * rooted at F too. Its group-by attributes then ride along on views that
+  * [[assign]] roots at the largest relation F every query whose group-by
+  * attributes are in F or fixed by the join keys of an edge into F
+  * ([[JoinTree.determined]]), and every other query where `choose` says.
+  * The group-by attributes of a query rooted at F ride along on views that
   * have the same rows as without them, and all these queries share one scan
-  * of F. Without declared keys nothing moves: an attribute fixed by a join
-  * key of F is in F.
+  * of F. Without declared keys no query moves from `choose`'s root: an
+  * attribute fixed by a join key of F is in F, and `choose` roots a query
+  * whose group-by attributes are all in F at F.
   */
 object RootAssignment {
 
@@ -36,13 +37,10 @@ object RootAssignment {
              overrides: Map[String, String] = Map.empty): Map[String, String] = {
     val unknown = overrides.keySet -- queries.map(_.name)
     require(unknown.isEmpty, s"root overrides name no query of the batch: ${unknown.toSeq.sorted.mkString(", ")}")
-    val chosen = queries.map(q => q.name -> choose(tree, q)).toMap
     val fact = tree.relations.zipWithIndex.maxBy { case (r, i) => (tree.sizeOf(r.name), -i) }._1.name
     val atFact = tree.relationByName(fact).attrSet ++ tree.neighbors(fact).flatMap(tree.determined(_, fact))
-    val gather = chosen.values.exists(_ == fact)
     queries.map { q =>
-      val r = overrides.getOrElse(q.name,
-        if (gather && q.groupBy.forall(atFact)) fact else chosen(q.name))
+      val r = overrides.getOrElse(q.name, if (q.groupBy.forall(atFact)) fact else choose(tree, q))
       require(tree.relationByName.contains(r), s"root override $r for ${q.name} is not a relation")
       q.name -> r
     }.toMap

@@ -124,9 +124,7 @@ object ViewGeneration {
     *
     * The child views' keys are left out: they do not change the SUM over the
     * subtree's join, and within one plan a view's keys fix its child views'
-    * keys. So the same partial in a plan whose batch carries fewer attributes
-    * on the child views (CART's last level) has the same signature, and
-    * [[repro.core.exec.LmfaoExec.run]] may lend it from a wider view.
+    * keys.
     */
   private def signature(factorTags: Seq[String], children: Seq[(ViewId, String)]): String = {
     val parts = factorTags.sorted ++ children.map { case (vid, s) => s"${vid.from}>${vid.to}{$s}" }.sorted

@@ -16,8 +16,7 @@ import repro.core.viewgen.ViewGeneration
   *   Step 2  weighted 1-d k-means per projection → assignment relations A_j;
   *   Step 3  grid coreset: GROUP BY C1..Cn SUM(1) over D ⋈ A_1 ⋈ … ⋈ A_n,
   *           realised by pushing each tiny A_j into the owner relation of X_j
-  *           and running the coreset query through the engine, which reuses
-  *           Step 1's views wherever no A_j was pushed;
+  *           and running the coreset query through the engine;
   *   Step 4  weighted k-means on the coreset grid.
   */
 object RkMeans {
@@ -44,51 +43,49 @@ object RkMeans {
           dims: Seq[String], k: Int, kPerDim: Int, seed: Long = 42): Result = {
     require(dims.nonEmpty, "need at least one clustering dimension")
 
-    // Step 1: one LMFAO batch for all n projections. Its aggregated views
-    // stay cached through Step 3, which reads every view that avoids the
-    // assignment columns instead of computing it again.
+    // Step 1: one LMFAO batch for all n projections.
     val projRes = LmfaoExec.run(tables, ViewGeneration.plan(tree, projectionQueries(dims)))
-    try {
-      val projections: Map[String, Seq[(Long, Double)]] = projectionQueries(dims).map { q =>
+    val projections: Map[String, Seq[(Long, Double)]] =
+      try projectionQueries(dims).map { q =>
         q.groupBy.head -> AggQuery.collect(q, projRes.queryResults(q.name))
           .map(r => (r.keys.head, r.measures.head)).sortBy(_._1)
       }.toMap
+      finally projRes.cleanup()
 
-      // Step 2: weighted 1-d k-means per dimension → assignment maps.
-      val perDim: Map[String, WeightedKMeans.Model] = dims.map { a =>
-        val pts = projections(a).map { case (v, _) => Array(v.toDouble) }.toArray
-        val ws = projections(a).map(_._2).toArray
-        a -> WeightedKMeans.fit(pts, ws, kPerDim, seed = seed + a.hashCode)
-      }.toMap
-      val assignments: Map[String, Map[Long, Long]] = dims.map { a =>
-        a -> projections(a).map { case (v, _) => v -> perDim(a).assign(Array(v.toDouble)).toLong }.toMap
-      }.toMap
+    // Step 2: weighted 1-d k-means per dimension → assignment maps.
+    val perDim: Map[String, WeightedKMeans.Model] = dims.map { a =>
+      val pts = projections(a).map { case (v, _) => Array(v.toDouble) }.toArray
+      val ws = projections(a).map(_._2).toArray
+      a -> WeightedKMeans.fit(pts, ws, kPerDim, seed = seed + a.hashCode)
+    }.toMap
+    val assignments: Map[String, Map[Long, Long]] = dims.map { a =>
+      a -> projections(a).map { case (v, _) => v -> perDim(a).assign(Array(v.toDouble)).toLong }.toMap
+    }.toMap
 
-      // Step 3: push each A_j into the owner relation of X_j, then one grid query.
-      val (gridTree, gridTables) = augment(spark, tree, tables, dims, assignments)
-      val grid = coresetQuery(dims)
-      val gridRes = LmfaoExec.run(gridTables, ViewGeneration.plan(gridTree, Seq(grid)), reuse = Some(projRes))
-      val gridRows =
-        try AggQuery.collect(grid, gridRes.queryResults(grid.name))
-        finally gridRes.cleanup()
-      val gridPoints = gridRows.map { r =>
-        dims.zip(r.keys).map { case (a, c) => perDim(a).centroids(c.toInt)(0) }.toArray
-      }.toArray
-      val gridWeights = gridRows.map(_.measures.head).toArray
-      val datasetSize = gridWeights.sum
+    // Step 3: push each A_j into the owner relation of X_j, then one grid query.
+    val (gridTree, gridTables) = augment(spark, tree, tables, dims, assignments)
+    val grid = coresetQuery(dims)
+    val gridRes = LmfaoExec.run(gridTables, ViewGeneration.plan(gridTree, Seq(grid)))
+    val gridRows =
+      try AggQuery.collect(grid, gridRes.queryResults(grid.name))
+      finally gridRes.cleanup()
+    val gridPoints = gridRows.map { r =>
+      dims.zip(r.keys).map { case (a, c) => perDim(a).centroids(c.toInt)(0) }.toArray
+    }.toArray
+    val gridWeights = gridRows.map(_.measures.head).toArray
+    val datasetSize = gridWeights.sum
 
-      // Step 4: weighted k-means on the coreset.
-      val finalModel = WeightedKMeans.fit(gridPoints, gridWeights, k, seed = seed)
+    // Step 4: weighted k-means on the coreset.
+    val finalModel = WeightedKMeans.fit(gridPoints, gridWeights, k, seed = seed)
 
-      Result(
-        centroids = finalModel.centroids,
-        dims = dims,
-        coresetSize = gridRows.length.toLong,
-        datasetSize = datasetSize,
-        perDimCentroids = dims.map(a => a -> perDim(a).centroids.map(_(0))).toMap,
-        coresetCost = finalModel.cost,
-      )
-    } finally projRes.cleanup()
+    Result(
+      centroids = finalModel.centroids,
+      dims = dims,
+      coresetSize = gridRows.length.toLong,
+      datasetSize = datasetSize,
+      perDimCentroids = dims.map(a => a -> perDim(a).centroids.map(_(0))).toMap,
+      coresetCost = finalModel.cost,
+    )
   }
 
   /** Extend the owner relation of each dimension with its centroid-assignment

@@ -36,7 +36,8 @@ final case class Inner(split: Split, left: TreeNode, right: TreeNode) extends Tr
   * each under its node's path condition), and each node then picks its
   * variance-minimising split (paper §3). Nodes at the maximum depth are
   * leaves, so their batch holds only the first feature's query, whose sums
-  * are the node's totals. A depth-d tree is d + 1 engine runs.
+  * are the node's totals. A depth-d tree is d + 1 engine runs, and each run
+  * computes its own views: no result outlives its level.
   */
 object DecisionTree {
 
@@ -47,19 +48,16 @@ object DecisionTree {
 
   def train(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
             label: String, maxDepth: Int, minLeaf: Double = 1.0): Trained = {
-    // The root batch's aggregated views stay cached for the whole tree: every
-    // level batch below reads those whose subtree holds no owner of a split
-    // attribute.
-    val rootBatch = NodeBatch.queries(features, label, Nil)
-    val root = LmfaoExec.run(tables, ViewGeneration.plan(tree, rootBatch))
-
-    /** Grow the nodes of one level, each given by its path condition and
-      * statistics: decide every split, grow all children as the next level,
-      * and return each node's subtree with its node traces in pre-order.
+    /** Grow the nodes of one level, each given by its path condition: run
+      * the level's batch, decide every split, grow all children as the next
+      * level, and return each node's subtree with its node traces in
+      * pre-order.
       */
-    def grow(level: Seq[(Seq[Predicate], Map[String, Seq[ValueStats]])],
-             depth: Int): Seq[(TreeNode, Seq[NodeTrace])] = {
-      val decided = level.map { case (pathConds, stats) =>
+    def grow(level: Seq[Seq[Predicate]], depth: Int): Seq[(TreeNode, Seq[NodeTrace])] = {
+      // A node at maxDepth is a leaf and reads only its totals, which the
+      // first feature's statistics hold: that level runs this one query.
+      val needed = if (depth >= maxDepth) features.take(1) else features
+      val decided = level.zip(levelStats(tree, tables, needed, label, level)).map { case (pathConds, stats) =>
         val first = stats(features.head.attr)
         val n = first.map(_.count).sum
         val sy = first.map(_.sumY).sum
@@ -74,13 +72,7 @@ object DecisionTree {
       val children = decided.flatMap { case (t, _) =>
         t.chosen.toSeq.flatMap(s => Seq(t.pathConds :+ s.predicate, t.pathConds :+ negate(s.predicate)))
       }
-      // A node at maxDepth is a leaf and reads only its totals, which the
-      // first feature's statistics hold: the last level runs that one query.
-      // Its views carry fewer keys than the root's, which still lend to it.
-      val needed = if (depth + 1 >= maxDepth) features.take(1) else features
-      val below =
-        if (children.isEmpty) Iterator.empty
-        else grow(children.zip(levelStats(tree, tables, needed, label, children, Some(root))), depth + 1).iterator
+      val below = if (children.isEmpty) Iterator.empty else grow(children, depth + 1).iterator
       decided.map { case (trace, prediction) =>
         trace.chosen.fold[(TreeNode, Seq[NodeTrace])]((Leaf(prediction), Seq(trace))) { s =>
           val ((left, lt), (right, rt)) = (below.next(), below.next())
@@ -89,31 +81,26 @@ object DecisionTree {
       }
     }
 
-    try {
-      val Seq((node, traces)) = grow(Seq(Nil -> NodeBatch.stats(rootBatch, root.queryResults)), 0)
-      Trained(node, traces)
-    } finally root.cleanup()
+    val Seq((node, traces)) = grow(Seq(Nil), 0)
+    Trained(node, traces)
   }
 
   /** Run the node batch through the LMFAO engine and collect per-feature
-    * value statistics; `reuse` lends the views of an earlier batch (see
-    * `LmfaoExec.run`).
+    * value statistics.
     */
   def nodeStats(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
-                label: String, pathConds: Seq[Predicate],
-                reuse: Option[LmfaoExec.Result] = None): Map[String, Seq[ValueStats]] =
-    levelStats(tree, tables, features, label, Seq(pathConds), reuse).head
+                label: String, pathConds: Seq[Predicate]): Map[String, Seq[ValueStats]] =
+    levelStats(tree, tables, features, label, Seq(pathConds)).head
 
   /** The node batches of several nodes as one LMFAO run: node i's queries are
     * renamed `n<i>_node_<attr>`, and its statistics come back at position i.
     */
   private def levelStats(tree: JoinTree, tables: Map[String, DataFrame], features: Seq[TreeFeature],
-                         label: String, paths: Seq[Seq[Predicate]],
-                         reuse: Option[LmfaoExec.Result]): Seq[Map[String, Seq[ValueStats]]] = {
+                         label: String, paths: Seq[Seq[Predicate]]): Seq[Map[String, Seq[ValueStats]]] = {
     val batches = paths.zipWithIndex.map { case (pathConds, i) =>
       NodeBatch.queries(features, label, pathConds).map(q => q.copy(name = s"n${i}_${q.name}"))
     }
-    val result = LmfaoExec.run(tables, ViewGeneration.plan(tree, batches.flatten), reuse = reuse)
+    val result = LmfaoExec.run(tables, ViewGeneration.plan(tree, batches.flatten))
     try batches.map(NodeBatch.stats(_, result.queryResults)) finally result.cleanup()
   }
 }

@@ -7,7 +7,7 @@ import repro.core.exec.LmfaoExec
 import repro.core.group.DependencyGraph
 import repro.core.query.{AggQuery, Predicate, SqlRender}
 import repro.core.schema.{JoinTree, Relation}
-import repro.core.viewgen.{Plan, ViewGeneration, ViewId}
+import repro.core.viewgen.{Plan, ViewGeneration}
 
 /** Micro schemas for oracle tests: small enough that every DuckDB round-trip
   * is fast, with duplicate keys and dangling tuples so natural-join
@@ -129,8 +129,7 @@ object TestData {
 }
 
 /** Oracle harness: run a batch through the LMFAO engine and check every query
-  * result against DuckDB over the base relations. Returns the views the run
-  * read from `reuse`, so a caller can tell that the reuse path ran.
+  * result against DuckDB over the base relations.
   */
 object Check {
   /** Output grouping sets of a plan: one per distinct group-by list of each
@@ -151,15 +150,10 @@ object Check {
     }
 
   def lmfaoVsDuck(tree: JoinTree, tables: Map[String, DataFrame], queries: Seq[AggQuery],
-                  roots: Map[String, String] = Map.empty,
-                  reuse: Option[LmfaoExec.Result] = None): Set[ViewId] = {
-    val plan = ViewGeneration.plan(tree, queries, roots)
-    val res = LmfaoExec.run(tables, plan, reuse)
-    try {
-      queries.foreach { q =>
-        Oracle.assertEquivalent(res.queryResults(q.name), SqlRender.querySql(tree, q), tables.toSeq: _*)
-      }
-      res.reused
+                  roots: Map[String, String] = Map.empty): Unit = {
+    val res = LmfaoExec.run(tables, ViewGeneration.plan(tree, queries, roots))
+    try queries.foreach { q =>
+      Oracle.assertEquivalent(res.queryResults(q.name), SqlRender.querySql(tree, q), tables.toSeq: _*)
     } finally res.cleanup()
   }
 }

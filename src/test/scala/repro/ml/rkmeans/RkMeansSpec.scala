@@ -2,8 +2,6 @@ package repro.ml.rkmeans
 
 import repro.{Check, SparkSpec, TestData}
 import repro.core.baseline.Baselines
-import repro.core.exec.LmfaoExec
-import repro.core.viewgen.{ViewGeneration, ViewId}
 
 class RkMeansSpec extends SparkSpec {
 
@@ -92,17 +90,10 @@ class RkMeansSpec extends SparkSpec {
   }
 
   test("the grid weights match DuckDB's grid query on the augmented tree") {
-    // Step 3 as RkMeans.run runs it: the grid batch reads Step 1's views.
-    val projRes = LmfaoExec.run(tables, ViewGeneration.plan(tree, RkMeans.projectionQueries(dims)))
-    try {
-      val assignments = dims.map { a =>
-        a -> tables(tree.owner(a)).select(a).distinct().collect().map(_.getLong(0)).map(v => v -> v % 3).toMap
-      }.toMap
-      val (gridTree, gridTables) = RkMeans.augment(spark, tree, tables, dims, assignments)
-      val reused = Check.lmfaoVsDuck(gridTree, gridTables, Seq(RkMeans.coresetQuery(dims)),
-        reuse = Some(projRes))
-      // x is assigned in S and u in D1: only the view from D2 is unchanged.
-      assert(reused == Set(ViewId("D2", "S", Seq("k2"))))
-    } finally projRes.cleanup()
+    val assignments = dims.map { a =>
+      a -> tables(tree.owner(a)).select(a).distinct().collect().map(_.getLong(0)).map(v => v -> v % 3).toMap
+    }.toMap
+    val (gridTree, gridTables) = RkMeans.augment(spark, tree, tables, dims, assignments)
+    Check.lmfaoVsDuck(gridTree, gridTables, Seq(RkMeans.coresetQuery(dims)))
   }
 }

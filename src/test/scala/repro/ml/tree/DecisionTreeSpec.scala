@@ -2,10 +2,8 @@ package repro.ml.tree
 
 import repro.{Check, SparkSpec, TestData}
 import repro.core.baseline.Baselines
-import repro.core.exec.LmfaoExec
 import repro.core.query.{CmpOp, Measure, Predicate}
 import repro.core.schema.{JoinTree, Relation}
-import repro.core.viewgen.ViewGeneration
 
 class DecisionTreeSpec extends SparkSpec {
 
@@ -153,7 +151,7 @@ class DecisionTreeSpec extends SparkSpec {
     }
   }
 
-  test("node batches that reuse the root's views grow the same tree and leave nothing cached") {
+  test("level batches grow the tree that per-node statistics give and leave nothing cached") {
     val (tree, tables) = TestData.chain(spark)
     val features = Seq(TreeFeature("a", FeatureKind.Continuous), TreeFeature("c", FeatureKind.Categorical))
     val before = spark.sparkContext.getPersistentRDDs.size
@@ -198,21 +196,5 @@ class DecisionTreeSpec extends SparkSpec {
     // The root and one of its children split: three level plans grew the tree.
     assert(root.depth == 2 && traces.size == 5)
     assert(DecisionTree.train(tree, tables, features, "d", maxDepth, minLeaf) == DecisionTree.Trained(root, traces))
-  }
-
-  test("the last level's one-feature batch reuses the root's views, also those carrying more keys") {
-    val (tree, tables) = TestData.keyedStar(spark)
-    val features = Seq(TreeFeature("u", FeatureKind.Continuous), TreeFeature("v", FeatureKind.Continuous))
-    val root = LmfaoExec.run(tables, ViewGeneration.plan(tree, NodeBatch.queries(features, "x", Nil)))
-    try {
-      // A leaf under a condition on u, at its owner D1: the batch groups on u
-      // only, so its D2→S view does not carry v, as the root's does.
-      val leaf = NodeBatch.queries(features.take(1), "x", Seq(Predicate("u", CmpOp.Le, 2)))
-      val plan = ViewGeneration.plan(tree, leaf)
-      val reused = Check.lmfaoVsDuck(tree, tables, leaf, reuse = Some(root))
-      val avoiding = plan.views.map(_.id).filterNot(id => tree.subtreeNodes(id.from, id.to).contains("D1"))
-      assert(avoiding.nonEmpty && reused == avoiding.toSet)
-      assert(!reused.subsetOf(root.plan.views.map(_.id).toSet))
-    } finally root.cleanup()
   }
 }
