@@ -6,20 +6,23 @@ import org.apache.spark.sql.SparkSession
   * session and parses the scale factor from args(0) (default 0.1).
   */
 object JobRunner {
-  /** The session settings of every job, bench and test: `local[*]` and 64
-    * shuffle partitions unless the environment says otherwise, and no
-    * automatic broadcast (the engine hints a broadcast itself on the smaller
-    * side of each join, by the relations' sizes). Cached views may change
-    * their output partitioning, so adaptive execution coalesces each small
-    * view to the few partitions it needs.
+  /** The session settings of every job, bench and test: `local[*]`, one
+    * shuffle partition per core of the driver (what `local[*]` runs at once)
+    * unless the environment says otherwise, no automatic broadcast, and no
+    * adaptive execution. Every plan is static: the engine fixes each join's
+    * strategy itself (a broadcast hint on the smaller side, by the
+    * relations' sizes), so re-planning at run time has nothing to decide but
+    * the partition count, and it costs a pause after every stage wave. One
+    * partition per core keeps every reduce stage to one wave of tasks.
     */
   def builder(appName: String): SparkSession.Builder =
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions",
+        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", Runtime.getRuntime.availableProcessors.toString))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", true)
+      .config("spark.sql.adaptive.enabled", false)
 
   def withSpark(args: Array[String])(body: (SparkSession, Double) => Unit): Unit = {
     val sf = args.headOption.map(_.toDouble).getOrElse(0.1)

@@ -28,10 +28,7 @@ import repro.util.Concurrently
   * view: it costs a shuffle, and later groups of the run may read it again.
   * Nothing else is cached: a group's join frame is read directly by each
   * pass over it, and a projection view (below) is kept as its `select`, so
-  * its consumer's job scans the relation again. Storing a view is not free
-  * on Spark: adaptive execution reads a cached relation through a stage of
-  * its own, one more job before the consumer's broadcast job, whereas an
-  * uncached projection is computed inside that broadcast job.
+  * its consumer's job scans the relation again.
   *
   * A view whose keys include the declared key of its node's relation is a
   * projection of the frame: a `select` of its keys and products, with no
@@ -45,8 +42,7 @@ import repro.util.Concurrently
   * partial exactly once, so each output is linear in each view's rows and
   * split rows add up to the same sums. A projection is coalesced to one
   * partition per million rows of its relation by `JoinTree.sizes` (one
-  * partition when the size is missing), as adaptive execution coalesces the
-  * small cached views.
+  * partition when the size is missing).
   *
   * Each join of the fold broadcasts its smaller side by `JoinTree.sizes`.
   * The incoming view V_{from→node} has at most |R_from| rows, and the

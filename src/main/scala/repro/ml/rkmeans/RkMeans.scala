@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.broadcast
 
 import repro.core.exec.LmfaoExec
-import repro.core.query.{AggQuery, Measure}
+import repro.core.query.{AggQuery, LocalRow, Measure}
 import repro.core.schema.JoinTree
 import repro.core.viewgen.ViewGeneration
 
@@ -36,6 +36,13 @@ object RkMeans {
   def coresetQuery(dims: Seq[String]): AggQuery =
     AggQuery("rk_grid", dims.map(a => s"c_$a"), Seq(Measure.count("w_grid")))
 
+  /** Rows sorted by their keys. k-means++ seeding picks points by index, so
+    * every point set is put in this order before it is clustered: the
+    * clustering then does not depend on the order in which Spark returns
+    * the rows, which changes with the partitioning.
+    */
+  private def byKeys(rows: Seq[LocalRow]): Seq[LocalRow] = rows.sortBy(_.keys)(Ordering.Implicits.seqOrdering)
+
   /** Steps 1–4. `kPerDim` is the number of 1-d clusters per projection (the
     * grid resolution), `k` the final cluster count.
     */
@@ -47,8 +54,8 @@ object RkMeans {
     val projRes = LmfaoExec.run(tables, ViewGeneration.plan(tree, projectionQueries(dims)))
     val projections: Map[String, Seq[(Long, Double)]] =
       try projectionQueries(dims).map { q =>
-        q.groupBy.head -> AggQuery.collect(q, projRes.queryResults(q.name))
-          .map(r => (r.keys.head, r.measures.head)).sortBy(_._1)
+        q.groupBy.head -> byKeys(AggQuery.collect(q, projRes.queryResults(q.name)))
+          .map(r => (r.keys.head, r.measures.head))
       }.toMap
       finally projRes.cleanup()
 
@@ -67,7 +74,7 @@ object RkMeans {
     val grid = coresetQuery(dims)
     val gridRes = LmfaoExec.run(gridTables, ViewGeneration.plan(gridTree, Seq(grid)))
     val gridRows =
-      try AggQuery.collect(grid, gridRes.queryResults(grid.name))
+      try byKeys(AggQuery.collect(grid, gridRes.queryResults(grid.name)))
       finally gridRes.cleanup()
     val gridPoints = gridRows.map { r =>
       dims.zip(r.keys).map { case (a, c) => perDim(a).centroids(c.toInt)(0) }.toArray
@@ -140,7 +147,7 @@ object RkMeans {
                              dims: Seq[String]): (Array[Array[Double]], Array[Double]) = {
     val q = AggQuery("rk_full", dims, Seq(Measure.count("w_full")))
     val res = LmfaoExec.run(tables, ViewGeneration.plan(tree, Seq(q)))
-    val rows = try AggQuery.collect(q, res.queryResults(q.name)) finally res.cleanup()
+    val rows = try byKeys(AggQuery.collect(q, res.queryResults(q.name))) finally res.cleanup()
     (rows.map(_.keys.map(_.toDouble).toArray).toArray, rows.map(_.measures.head).toArray)
   }
 }

@@ -11,8 +11,20 @@ import repro.ml.linalg.Vec
 object WeightedKMeans {
 
   final case class Model(centroids: Array[Array[Double]], cost: Double, iterations: Int) {
-    def assign(p: Array[Double]): Int =
-      centroids.indices.minBy(i => Vec.sqDist(p, centroids(i)))
+    def assign(p: Array[Double]): Int = nearest(p, centroids)
+  }
+
+  /** Index of the centroid nearest to `p`; the first one on a tie. */
+  private def nearest(p: Array[Double], centroids: Array[Array[Double]]): Int = {
+    var best = 0
+    var bestDist = Vec.sqDist(p, centroids(0))
+    var k = 1
+    while (k < centroids.length) {
+      val d = Vec.sqDist(p, centroids(k))
+      if (d < bestDist) { best = k; bestDist = d }
+      k += 1
+    }
+    best
   }
 
   /** Weighted k-means cost: Σ w_i · min_k ‖p_i − c_k‖². */
@@ -68,7 +80,9 @@ object WeightedKMeans {
     var converged = false
     while (it < maxIters && !converged) {
       // Assignment step.
-      val assignments = points.map(p => centroids.indices.minBy(i => Vec.sqDist(p, centroids(i))))
+      val assignments = new Array[Int](points.length)
+      var p = 0
+      while (p < points.length) { assignments(p) = nearest(points(p), centroids); p += 1 }
       // Update step (weighted means; empty clusters keep their centroid).
       val dim = points(0).length
       val sums = Array.fill(centroids.length)(new Array[Double](dim))

@@ -9,7 +9,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). The session comes from `JobRunner.builder`, so tests run the same
-  * plans as the jobs and the benchmark: auto-broadcast stays off, and every
+  * static plans as the jobs and the benchmark: adaptive execution and
+  * auto-broadcast stay off, shuffles have one partition per core, and every
   * broadcast join is an explicit hint in the program (the smaller side of
   * each join in `LmfaoExec`, assignment relations in `RkMeans`).
   */
@@ -25,11 +26,14 @@ object SparkSpec {
     // Keep test/bench output readable: task-level INFO noise off.
     s.sparkContext.setLogLevel("WARN")
     // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // derivation saw the real limit (README § Spark target), and the plan
+    // settings every result of the run came from.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
-      s"defaultParallelism=${s.sparkContext.defaultParallelism}"
+      s"defaultParallelism=${s.sparkContext.defaultParallelism} " +
+      s"adaptive=${s.conf.get("spark.sql.adaptive.enabled")} " +
+      s"shufflePartitions=${s.conf.get("spark.sql.shuffle.partitions")}"
     )
     s
   }

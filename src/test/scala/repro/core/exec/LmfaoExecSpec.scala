@@ -1,5 +1,6 @@
 package repro.core.exec
 
+import java.util.Properties
 import java.util.concurrent.ConcurrentLinkedQueue
 
 import scala.jdk.CollectionConverters._
@@ -8,8 +9,9 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.catalyst.optimizer.{BuildLeft, BuildRight}
 import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions.{col, lit, raise_error, udf, when}
 import org.apache.spark.sql.util.QueryExecutionListener
@@ -19,12 +21,13 @@ import repro.{Check, Oracle, SparkSpec, TestData}
 import repro.core.group.DependencyGraph
 import repro.core.query._
 import repro.core.viewgen.{ViewGeneration, ViewId}
+import repro.ml.linreg.{Features, SigmaBatch}
 
 /** Engine-vs-DuckDB oracle tests over the micro schemas: every result the
   * engine produces is diffed against DuckDB running the textbook SQL over the
   * base relations.
   */
-class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
+class LmfaoExecSpec extends SparkSpec {
 
   private lazy val (chainTree, chainTables) = TestData.chain(spark)
   private lazy val (starTree, starTables) = TestData.star(spark)
@@ -56,11 +59,11 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     q("b4", Seq("b", "c"), Seq(Measure.sumProduct("p4", "a", "d"))),
   )
 
-  /** Join kinds and keys, sorted, of the one collected pass that joins,
-    * among the queries that `body` executes: an output pass is collected
-    * straight from its plan, so a listener reads its executed plan.
+  /** The executed plans of the passes that `body` collects, once `ready`
+    * holds of them: an output pass is collected straight from its plan, and
+    * listeners are called on the listener bus, after the action returns.
     */
-  private def passJoins(body: => Unit): Seq[(String, String)] = {
+  private def collectedPlans(body: => Unit)(ready: Seq[SparkPlan] => Boolean): Seq[SparkPlan] = {
     val plans = new ConcurrentLinkedQueue[SparkPlan]()
     val listener = new QueryExecutionListener {
       override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
@@ -70,23 +73,55 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     spark.listenerManager.register(listener)
     try {
       body
-      // Listeners are called on the listener bus, after the action returns.
       val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      def joining = plans.asScala.toSeq.map(joinKeys).filter(_.nonEmpty)
-      while (joining.isEmpty && System.nanoTime() < deadline) Thread.sleep(10)
-      val Seq(joins) = joining
-      joins.sorted
+      while (!ready(plans.asScala.toSeq) && System.nanoTime() < deadline) Thread.sleep(10)
+      plans.asScala.toSeq
     } finally spark.listenerManager.unregister(listener)
   }
 
+  /** Join kinds and keys, sorted, of the one collected pass that joins,
+    * among the queries that `body` executes.
+    */
+  private def passJoins(body: => Unit): Seq[(String, String)] = {
+    val Seq(joins) = collectedPlans(body)(_.exists(joinKeys(_).nonEmpty)).map(joinKeys).filter(_.nonEmpty)
+    joins.sorted
+  }
+
+  /** The local properties of each Spark job that `body` starts, in
+    * submission order. Listener events arrive in that order, so the jobs
+    * between two marker jobs are exactly the body's.
+    */
+  private def jobsOf(body: => Unit): Seq[Option[Properties]] = {
+    val sc = spark.sparkContext
+    val Marker = "repro.test.marker"
+    val seen = new ConcurrentLinkedQueue[Option[Properties]]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = seen.add(Option(e.properties))
+    }
+    def marker(name: String): Unit = {
+      sc.setLocalProperty(Marker, name)
+      try sc.parallelize(Seq(1)).count() finally sc.setLocalProperty(Marker, null)
+    }
+    def isMarker(name: String)(p: Option[Properties]) = p.exists(_.getProperty(Marker) == name)
+    sc.addSparkListener(listener)
+    try {
+      marker("begin")
+      body
+      marker("end")
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!seen.asScala.exists(isMarker("end")) && System.nanoTime() < deadline) Thread.sleep(10)
+      seen.asScala.toSeq.dropWhile(!isMarker("begin")(_)).drop(1).takeWhile(!isMarker("end")(_))
+    } finally sc.removeSparkListener(listener)
+  }
+
   /** Join kind and key names of each hash or sort-merge join of a physical
-    * plan, looking through adaptive execution and into cached relations. The
-    * engine joins a group's frame (left) with an incoming view (right), so a
-    * broadcast join names the side it builds.
+    * plan, looking into cached relations. The engine joins a group's frame
+    * (left) with an incoming view (right), so a broadcast join names the side
+    * it builds.
     */
   private def joinKeys(plan: SparkPlan): Seq[(String, String)] = {
     def keys(ks: Seq[Expression]) = ks.flatMap(_.references.map(_.name)).distinct.mkString(",")
-    def go(p: SparkPlan): Seq[(String, String)] = flatMap(p) {
+    def go(p: SparkPlan): Seq[(String, String)] = p.flatMap {
       case s: InMemoryTableScanExec => go(s.relation.cachedPlan)
       case j: BroadcastHashJoinExec if j.buildSide == BuildLeft => Seq("broadcast frame" -> keys(j.leftKeys))
       case j: BroadcastHashJoinExec if j.buildSide == BuildRight => Seq("broadcast view" -> keys(j.leftKeys))
@@ -296,6 +331,24 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       Seq("sort-merge" -> "b", "sort-merge" -> "c"))
   }
 
+  test("a keyed Σ batch at the fact table is one job per broadcast plus one, on a static plan") {
+    // Rooted at S, the batch is one output group over the projections of D1
+    // and D2, both broadcast into S's frame. Without adaptive execution the
+    // pass's shuffle runs inside its own job, and only each broadcast starts
+    // a job before it.
+    val batch = SigmaBatch.queries(Features("x", Seq("u"), Seq("v")))
+    val plan = ViewGeneration.plan(keyedStarTree, batch)
+    assert(DependencyGraph.groups(plan).filter(_.outputs.nonEmpty).map(_.node) == Seq("S"))
+    var plans = Seq.empty[SparkPlan]
+    val jobs = jobsOf { plans = collectedPlans(LmfaoExec.run(keyedStarTables, plan).cleanup())(_.nonEmpty) }
+    val Seq(executed) = plans
+    assert(executed.find(_.isInstanceOf[AdaptiveSparkPlanExec]).isEmpty, executed)
+    val broadcasts = executed.collect { case b: BroadcastExchangeExec => b }.size
+    assert(broadcasts == 2, executed)
+    assert(jobs.size == broadcasts + 1, executed)
+    Check.lmfaoVsDuck(keyedStarTree, keyedStarTables, batch)
+  }
+
   test("a multi-set output group over an emptied relation returns the global queries' rows with 0.0") {
     // No row of A joins: the grouped sets are empty, each global set is one row.
     val emptied = chainTables.updated("A", chainTables("A").where(lit(false)))
@@ -424,30 +477,13 @@ class LmfaoExecSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val Key = "repro.test.span"
     val plan = ViewGeneration.plan(chainTree, mixedRoots)
     assert(Check.outputPasses(plan) > 1)
-    val seen = new ConcurrentLinkedQueue[Option[String]]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        seen.add(Option(e.properties).map(p => s"${p.getProperty(Key)}/${p.getProperty("spark.jobGroup.id")}"))
-    }
-    // Listener events arrive in submission order, so the jobs between the two
-    // marker jobs are exactly the run's.
-    def marker(name: String): Unit = {
-      sc.setLocalProperty(Key, name)
-      try sc.parallelize(Seq(1)).count() finally sc.setLocalProperty(Key, null)
-    }
-    sc.addSparkListener(listener)
-    try {
-      marker("begin")
+    val run = jobsOf {
       sc.setJobGroup("lmfao-run", "multi-pass run")
       sc.setLocalProperty(Key, "run")
       try LmfaoExec.run(chainTables, plan).cleanup()
       finally { sc.clearJobGroup(); sc.setLocalProperty(Key, null) }
-      marker("end")
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!seen.contains(Some("end/null")) && System.nanoTime() < deadline) Thread.sleep(10)
-      val run = seen.asScala.toSeq.dropWhile(_ != Some("begin/null")).drop(1).takeWhile(_ != Some("end/null"))
-      assert(run.size > 1)
-      assert(run.forall(_.contains("run/lmfao-run")), run)
-    } finally sc.removeSparkListener(listener)
+    }.map(_.map(p => s"${p.getProperty(Key)}/${p.getProperty("spark.jobGroup.id")}"))
+    assert(run.size > 1)
+    assert(run.forall(_.contains("run/lmfao-run")), run)
   }
 }

@@ -83,6 +83,20 @@ class RkMeansSpec extends SparkSpec {
     assert(a.coresetSize == b.coresetSize)
   }
 
+  test("the result does not depend on the number of shuffle partitions") {
+    val key = "spark.sql.shuffle.partitions"
+    val setting = spark.conf.get(key)
+    // Every field, with arrays compared by their elements.
+    def fields(r: RkMeans.Result) = (r.centroids.map(_.toSeq).toSeq, r.dims, r.coresetSize, r.datasetSize,
+      r.perDimCentroids.map { case (a, cs) => a -> cs.toSeq }, r.coresetCost)
+    def runWith(partitions: Int) = {
+      spark.conf.set(key, partitions.toLong)
+      fields(RkMeans.run(spark, tree, tables, dims, k = 3, kPerDim = 4))
+    }
+    try assert(runWith(1) == runWith(7))
+    finally spark.conf.set(key, setting)
+  }
+
   test("RkMeans.run leaves no persisted RDDs behind") {
     val before = spark.sparkContext.getPersistentRDDs.size
     RkMeans.run(spark, tree, tables, dims, k = 3, kPerDim = 3)

@@ -84,4 +84,35 @@ class WeightedKMeansSpec extends AnyFunSuite {
     val seeds = WeightedKMeans.seedPlusPlus(pts, Array(1.0, 1.0), k = 5, seed = 1)
     assert(seeds.length == 2)
   }
+
+  // Recorded centroids, cost, iteration count and assignments: the
+  // nearest-centroid search must keep the first minimum and the summation
+  // order, so they hold bit for bit (a Double literal reads back as the bits
+  // it was printed from).
+  test("fit reproduces its recorded result on a seeded 1-d input of 2,000 points") {
+    val rng = new scala.util.Random(7)
+    val pts = Array.fill(2000)(Array(rng.nextInt(500).toDouble))
+    val ws = Array.fill(2000)(1.0 + rng.nextInt(9))
+    val m = WeightedKMeans.fit(pts, ws, k = 5, seed = 3)
+    assert(m.centroids.map(_.toSeq).toSeq == Seq(Seq(359.27440505099565), Seq(54.11094452773613),
+      Seq(263.1378126532614), Seq(452.99652173913046), Seq(159.89829749103941)))
+    assert(m.cost == 8321645.498766355)
+    assert(m.iterations == 14)
+    assert(pts.take(20).map(m.assign).toSeq == Seq(2, 4, 3, 1, 0, 2, 3, 4, 0, 1, 4, 2, 4, 3, 3, 4, 3, 2, 2, 2))
+  }
+
+  test("fit reproduces its recorded result on a seeded 3-d input") {
+    val rng = new scala.util.Random(8)
+    val pts = Array.fill(300)(Array(rng.nextGaussian() * 4, rng.nextInt(30).toDouble, rng.nextDouble() * 10))
+    val ws = Array.fill(300)(rng.nextInt(4).toDouble)
+    val m = WeightedKMeans.fit(pts, ws, k = 4, seed = 11)
+    assert(m.centroids.map(_.toSeq).toSeq == Seq(
+      Seq(1.3923877271273932, 3.278688524590164, 5.394571175127984),
+      Seq(4.186201069562104, 20.80808080808081, 5.153648103507558),
+      Seq(-1.8367226022907188, 23.690721649484537, 5.733209875944788),
+      Seq(-1.4005523611758814, 11.733333333333333, 4.750744889453827)))
+    assert(m.cost == 12368.93718007145)
+    assert(m.iterations == 20)
+    assert(pts.take(20).map(m.assign).toSeq == Seq(3, 3, 0, 0, 3, 0, 1, 1, 2, 2, 2, 3, 0, 0, 1, 0, 3, 2, 2, 3))
+  }
 }
