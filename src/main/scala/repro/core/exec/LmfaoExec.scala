@@ -12,7 +12,6 @@ import repro.core.group.{DependencyGraph, ViewGroup}
 import repro.core.query.SumOfProducts.{groupedSum, groupingSets, product, SetColumn}
 import repro.core.schema.JoinTree
 import repro.core.viewgen.{Plan, ViewId}
-import repro.util.Concurrently
 
 /** The LMFAO execution layer on Spark.
   *
@@ -57,15 +56,10 @@ import repro.util.Concurrently
   * collected once, and every query result is returned as a driver-local
   * frame.
   *
-  * Output passes are independent of one another, so once every frame is
-  * built they are collected at the same time (task parallelism over the
-  * group dependency graph): up to `defaultParallelism` passes run at once,
-  * each on a thread the calling thread starts, so their jobs carry the
-  * caller's Spark local properties; a run with one pass starts no thread. A
-  * view that several passes read is still computed once, because Spark
-  * builds a cached relation's blocks once and makes other readers wait for
-  * them. If a pass fails, every other pass still runs to its end; then the
-  * views the run cached are unpersisted and the first failure is rethrown.
+  * Groups run one after another on the calling thread, in group order, so
+  * every Spark job carries the caller's local properties. If a pass fails,
+  * the views the run cached are unpersisted and its error is rethrown; later
+  * groups never start.
   *
   * Each run computes every view of its plan: a batch reads no view of an
   * earlier run. Over Favorita and Retailer, the models' batches root every
@@ -124,12 +118,10 @@ object LmfaoExec {
     val viewFrames = mutable.Map.empty[ViewId, DataFrame]
     val queryResults = mutable.Map.empty[String, DataFrame]
 
-    // Every frame is built here, on the calling thread, in group order; the
-    // output passes are then collected at the same time. A failing pass is
-    // rethrown only after every pass has ended, so no pass still reads a
-    // view when the computed views are unpersisted.
+    // One pass over the groups, in group order: a failing pass throws at
+    // once, and the views cached so far are unpersisted.
     try {
-      val passes = groups.flatMap { g =>
+      groups.foreach { g =>
         val frame = g.incoming.foldLeft(tables(g.node)) { (acc, vid) =>
           val vf = viewFrames(vid)
           val keys = (acc.columns.toSet intersect vid.keys.toSet).toSeq.sorted
@@ -154,35 +146,31 @@ object LmfaoExec {
 
         // Multi-output pass: all queries of the group are evaluated by one
         // aggregate job, one grouping set per distinct group-by list, the
-        // measure m of the group's i-th output as o<i>_m.
+        // measure m of the group's i-th output as o<i>_m. It is collected
+        // once; each query's rows are then picked by set and its columns
+        // sliced on the driver.
+        val outs = g.outputs.zipWithIndex
         val sets = g.outputs.map(_.query.groupBy).distinct
-        val outs = g.outputs.zipWithIndex.map { case (o, i) => (o, i, sets.indexOf(o.query.groupBy)) }
-        if (outs.isEmpty) None
-        else Some(outs -> groupingSets(frame, sets.map { gb =>
-          gb -> outs.filter(_._1.query.groupBy == gb).flatMap { case (o, i, _) =>
-            o.query.measures.zip(o.terms).map { case (m, t) =>
-              s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
+        if (sets.nonEmpty) {
+          val combined = groupingSets(frame, sets.map { gb =>
+            gb -> outs.filter(_._1.query.groupBy == gb).flatMap { case (o, i) =>
+              o.query.measures.zip(o.terms).map { case (m, t) =>
+                s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
+              }
             }
+          })
+          val setIdx = combined.schema.fieldIndex(SetColumn)
+          val bySet = combined.collect().toSeq.groupBy(_.getInt(setIdx))
+          outs.foreach { case (o, i) =>
+            val gb = o.query.groupBy
+            val cols = gb.map(k => k -> k) ++ o.query.measures.map(m => s"o${i}_${m.name}" -> m.name)
+            val idx = cols.map { case (c, _) => combined.schema.fieldIndex(c) }
+            val schema = StructType(cols.map { case (c, name) => combined.schema(c).copy(name = name) })
+            val own = bySet.getOrElse(sets.indexOf(gb), Nil).map(r => Row.fromSeq(idx.map(r.get)))
+            // A global set over an empty frame has no row; its SUMs are NULL.
+            val data = if (own.isEmpty && gb.isEmpty) Seq(Row.fromSeq(idx.map(_ => null))) else own
+            queryResults(o.query.name) = spark.createDataFrame(data.asJava, schema)
           }
-        }))
-      }
-
-      // Each pass is collected once; each query's rows are then picked by set
-      // and its columns sliced on the driver, in pass order.
-      val collected = Concurrently.all(spark.sparkContext.defaultParallelism)(
-        passes.map { case (_, combined) => () => combined.collect().toSeq })
-      passes.zip(collected).foreach { case ((outs, combined), rows) =>
-        val setIdx = combined.schema.fieldIndex(SetColumn)
-        val bySet = rows.groupBy(_.getInt(setIdx))
-        outs.foreach { case (o, i, set) =>
-          val gb = o.query.groupBy
-          val cols = gb.map(k => k -> k) ++ o.query.measures.map(m => s"o${i}_${m.name}" -> m.name)
-          val idx = cols.map { case (c, _) => combined.schema.fieldIndex(c) }
-          val schema = StructType(cols.map { case (c, name) => combined.schema(c).copy(name = name) })
-          val own = bySet.getOrElse(set, Nil).map(r => Row.fromSeq(idx.map(r.get)))
-          // A global set over an empty frame has no row; its SUMs are NULL.
-          val data = if (own.isEmpty && gb.isEmpty) Seq(Row.fromSeq(idx.map(_ => null))) else own
-          queryResults(o.query.name) = spark.createDataFrame(data.asJava, schema)
         }
       }
     } catch {

@@ -119,32 +119,14 @@ object RkMeans {
     (JoinTree(newRelations, tree.edges, tree.sizes), newTables)
   }
 
-  /** Conventional Lloyd's over the full projected dataset, the paper's
-    * quality comparator. The projection π_dims(D) (with multiplicities) is the
-    * Step-1 result re-weighted per distinct tuple; for an exact comparator we
-    * collect the distinct dim-tuples of D with their counts — identical
-    * objective to running unweighted Lloyd's over all of D.
-    */
-  def fullLloyd(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
-                dims: Seq[String], k: Int, seed: Long = 42): WeightedKMeans.Model = {
-    val (pts, ws) = fullProjection(tree, tables, dims)
-    WeightedKMeans.fit(pts, ws, k, seed = seed)
-  }
-
-  /** Cost of centroids against the full weighted dataset (for the relative
-    * approximation metric).
-    */
-  def fullCost(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
-               dims: Seq[String], centroids: Array[Array[Double]]): Double = {
-    val (pts, ws) = fullProjection(tree, tables, dims)
-    WeightedKMeans.cost(pts, ws, centroids)
-  }
-
   /** π_dims(D) with multiplicities: the distinct dim-tuples of D as points,
-    * weighted by their counts.
+    * weighted by their counts, in key order. Weighted Lloyd's over these
+    * points (`WeightedKMeans.fit`) is the paper's quality comparator, with
+    * the same objective as unweighted Lloyd's over all of D, and
+    * `WeightedKMeans.cost` over them is the cost of any centroids on D.
     */
-  private def fullProjection(tree: JoinTree, tables: Map[String, DataFrame],
-                             dims: Seq[String]): (Array[Array[Double]], Array[Double]) = {
+  def fullProjection(tree: JoinTree, tables: Map[String, DataFrame],
+                     dims: Seq[String]): (Array[Array[Double]], Array[Double]) = {
     val q = AggQuery("rk_full", dims, Seq(Measure.count("w_full")))
     val res = LmfaoExec.run(tables, ViewGeneration.plan(tree, Seq(q)))
     val rows = try byKeys(AggQuery.collect(q, res.queryResults(q.name))) finally res.cleanup()

@@ -13,7 +13,7 @@ import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
-import org.apache.spark.sql.functions.{col, lit, raise_error, udf, when}
+import org.apache.spark.sql.functions.{col, lit, raise_error, when}
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.apache.spark.storage.StorageLevel
 
@@ -350,17 +350,20 @@ class LmfaoExecSpec extends SparkSpec {
   }
 
   test("a multi-set output group over an emptied relation returns the global queries' rows with 0.0") {
-    // No row of A joins: the grouped sets are empty, each global set is one row.
+    // No row of A joins: the grouped sets are empty, each global set is one
+    // row. `atB` is one output group; `mixedRoots` is several, one per root.
     val emptied = chainTables.updated("A", chainTables("A").where(lit(false)))
-    val res = LmfaoExec.run(emptied, ViewGeneration.plan(chainTree, atB, rootB))
-    try {
-      assert(res.groups.count(_.outputs.nonEmpty) == 1)
-      atB.foreach { query =>
-        val expected = if (query.groupBy.isEmpty) Seq(LocalRow(Nil, query.measures.map(_ => 0.0))) else Nil
-        assert(AggQuery.collect(query, res.queryResults(query.name)) == expected, query.name)
-      }
-    } finally res.cleanup()
-    Check.lmfaoVsDuck(chainTree, emptied, atB, rootB)
+    for ((batch, roots, outputGroups) <- Seq((atB, rootB, 1), (mixedRoots, Map.empty[String, String], 3))) {
+      val res = LmfaoExec.run(emptied, ViewGeneration.plan(chainTree, batch, roots))
+      try {
+        assert(res.groups.count(_.outputs.nonEmpty) == outputGroups)
+        batch.foreach { query =>
+          val expected = if (query.groupBy.isEmpty) Seq(LocalRow(Nil, query.measures.map(_ => 0.0))) else Nil
+          assert(AggQuery.collect(query, res.queryResults(query.name)) == expected, query.name)
+        }
+      } finally res.cleanup()
+      Check.lmfaoVsDuck(chainTree, emptied, batch, roots)
+    }
   }
 
   test("answers do not depend on the join strategy") {
@@ -447,7 +450,7 @@ class LmfaoExecSpec extends SparkSpec {
     }
   }
 
-  test("a failing pass unpersists the run's frames only after every pass has ended") {
+  test("a failing pass rethrows its error and unpersists the run's frames") {
     val sc = spark.sparkContext
     val before = sc.getPersistentRDDs.size
     // Only the pass rooted at A reads `a`; the pass rooted at C reads A only
@@ -455,19 +458,13 @@ class LmfaoExecSpec extends SparkSpec {
     val batch = Seq(q("byA", Seq("a"), Seq(Measure.count("n"))), q("byD", Seq("d"), Seq(Measure.count("n"))))
     val plan = ViewGeneration.plan(chainTree, batch, Map("byA" -> "A", "byD" -> "C"))
     assert(Check.outputPasses(plan) == 2)
-    // The pass rooted at C reads `d` slowly and counts the rows it has read,
-    // so it is still running when the pass rooted at A fails.
-    // Both relations are repartitioned so that the optimizer cannot evaluate
-    // their columns at plan time, as it does over a local relation.
-    val read = sc.longAccumulator("rows of C read")
-    val slow = udf { (d: Long) => Thread.sleep(100); read.add(1); d }
-    val (a, c) = (chainTables("A").repartition(2), chainTables("C").repartition(2))
+    // A is repartitioned so that the optimizer cannot evaluate `a` at plan
+    // time, as it does over a local relation.
+    val a = chainTables("A").repartition(2)
     val failing = chainTables
       .updated("A", a.withColumn("a", when(col("a") > 0, raise_error(lit("poisoned a"))).otherwise(col("a"))))
-      .updated("C", c.withColumn("d", slow(col("d"))))
     val e = intercept[Exception](LmfaoExec.run(failing, plan))
     assert(e.getMessage.contains("poisoned a"))
-    assert(read.value == c.count(), "run threw before the other pass had ended")
     assert(sc.getPersistentRDDs.size == before)
     Check.lmfaoVsDuck(chainTree, chainTables, batch, Map("byA" -> "A", "byD" -> "C"))
   }

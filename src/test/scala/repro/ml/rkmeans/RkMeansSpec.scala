@@ -55,9 +55,9 @@ class RkMeansSpec extends SparkSpec {
   test("Rk-means cost is within a small factor of Lloyd's on D") {
     val k = 3
     val r = RkMeans.run(spark, tree, tables, dims, k = k, kPerDim = 5)
-    val rkCost = RkMeans.fullCost(spark, tree, tables, dims, r.centroids)
-    val lloyd = RkMeans.fullLloyd(spark, tree, tables, dims, k)
-    val lloydCost = RkMeans.fullCost(spark, tree, tables, dims, lloyd.centroids)
+    val (pts, ws) = RkMeans.fullProjection(tree, tables, dims)
+    val rkCost = WeightedKMeans.cost(pts, ws, r.centroids)
+    val lloydCost = WeightedKMeans.cost(pts, ws, WeightedKMeans.fit(pts, ws, k).centroids)
     // The paper proves a constant-factor approximation; on this easy micro
     // data the factor should be modest.
     assert(rkCost <= lloydCost * 3.0 + 1e-9, s"rk=$rkCost lloyd=$lloydCost")
@@ -71,8 +71,9 @@ class RkMeansSpec extends SparkSpec {
   }
 
   test("fullLloyd's weighted objective equals cost of its own centroids") {
-    val lloyd = RkMeans.fullLloyd(spark, tree, tables, dims, 3)
-    val c = RkMeans.fullCost(spark, tree, tables, dims, lloyd.centroids)
+    val (pts, ws) = RkMeans.fullProjection(tree, tables, dims)
+    val lloyd = WeightedKMeans.fit(pts, ws, 3)
+    val c = WeightedKMeans.cost(pts, ws, lloyd.centroids)
     assert(math.abs(c - lloyd.cost) < 1e-6 * (1 + lloyd.cost))
   }
 
