@@ -3,25 +3,31 @@ package repro.core.exec
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col}
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.group.{DependencyGraph, ViewGroup}
 import repro.core.query.SumOfProducts.{groupedSum, groupingSets, product, SetColumn}
 import repro.core.schema.JoinTree
-import repro.core.viewgen.{Plan, ViewId}
+import repro.core.viewgen.{OutputPass, Plan, ViewId}
 
 /** The LMFAO execution layer on Spark.
   *
   * Each multi-output view group becomes one join of the node's relation with
   * the group's incoming view frames; every merged view of the group is a
   * single grouped SUM-of-products pass over that frame, and *all query
-  * outputs of the group are combined into one pass*, with one grouping set
-  * per distinct group-by list (the paper's multi-output plans: e.g. the 86
-  * queries of Retailer's Σ batch become one job). Catalyst/Tungsten play
-  * the role of the paper's code-generation layer.
+  * outputs of the group are combined into one pass* (the paper's
+  * multi-output plans: e.g. the 86 queries of Retailer's Σ batch become one
+  * job). The pass's grouping sets are a [[repro.core.viewgen.OutputPass]]:
+  * the group-by sets whose domain hints are small fold into one cube set
+  * over the union of their attributes, and each other set is a grouping set
+  * of its own; each set sums every distinct product of its queries once. A
+  * pass of one set is a plain grouped aggregate. The pass is collected once,
+  * and one decoder rolls every query up from its set's rows by its group-by
+  * attributes. Catalyst/Tungsten play the role of the paper's
+  * code-generation layer.
   *
   * Every computed aggregated view is cached, as LMFAO's engine stores each
   * view: it costs a shuffle, and later groups of the run may read it again.
@@ -52,9 +58,9 @@ import repro.core.viewgen.{Plan, ViewId}
   * when |R_node| < |R_from| (Transactions receiving V_{Sales→Transactions}),
   * and both sides are shuffled when the sizes are equal or either is
   * missing. A view that carries other attributes can break the bounds; the
-  * choice is then a guess, and it never changes answers. Each output pass is
-  * collected once, and every query result is returned as a driver-local
-  * frame.
+  * choice is then a guess, and it never changes answers. Every query result
+  * is returned as a driver-local frame, which `AggQuery.collect` reads
+  * straight from its rows.
   *
   * Groups run one after another on the calling thread, in group order, so
   * every Spark job carries the caller's local properties. If a pass fails,
@@ -126,10 +132,10 @@ object LmfaoExec {
           val vf = viewFrames(vid)
           val keys = (acc.columns.toSet intersect vid.keys.toSet).toSeq.sorted
           require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
-          (plan.tree.sizes.get(vid.from), plan.tree.sizes.get(g.node)) match {
-            case (Some(from), Some(node)) if from < node => acc.join(broadcast(vf), keys, "inner")
-            case (Some(from), Some(node)) if node < from => broadcast(acc).join(vf, keys, "inner")
-            case _ => acc.join(vf, keys, "inner")
+          joinSide(plan.tree, vid, g.node) match {
+            case BroadcastView => acc.join(broadcast(vf), keys, "inner")
+            case BroadcastFrame => broadcast(acc).join(vf, keys, "inner")
+            case Shuffle => acc.join(vf, keys, "inner")
           }
         }
         // One pass per view over the join frame; only aggregated views are
@@ -144,33 +150,16 @@ object LmfaoExec {
             } else groupedSum(frame, v.id.keys, sums).persist(StorageLevel.MEMORY_AND_DISK)
         }
 
-        // Multi-output pass: all queries of the group are evaluated by one
-        // aggregate job, one grouping set per distinct group-by list, the
-        // measure m of the group's i-th output as o<i>_m. It is collected
-        // once; each query's rows are then picked by set and its columns
-        // sliced on the driver.
-        val outs = g.outputs.zipWithIndex
-        val sets = g.outputs.map(_.query.groupBy).distinct
-        if (sets.nonEmpty) {
-          val combined = groupingSets(frame, sets.map { gb =>
-            gb -> outs.filter(_._1.query.groupBy == gb).flatMap { case (o, i) =>
-              o.query.measures.zip(o.terms).map { case (m, t) =>
-                s"o${i}_${m.name}" -> product(t.localFactors, t.childRefs.map(_.aggName))
-              }
+        // Multi-output pass: all queries of the group are one aggregate job
+        // over its grouping sets, collected once and decoded on the driver.
+        if (g.outputs.nonEmpty) {
+          val pass = OutputPass(plan.tree, g.outputs)
+          val agg = groupingSets(frame, pass.sets.zipWithIndex.map { case (set, i) =>
+            set.keys -> set.sums.zipWithIndex.map { case (t, j) =>
+              sumName(i, j) -> product(t.localFactors, t.childRefs.map(_.aggName))
             }
           })
-          val setIdx = combined.schema.fieldIndex(SetColumn)
-          val bySet = combined.collect().toSeq.groupBy(_.getInt(setIdx))
-          outs.foreach { case (o, i) =>
-            val gb = o.query.groupBy
-            val cols = gb.map(k => k -> k) ++ o.query.measures.map(m => s"o${i}_${m.name}" -> m.name)
-            val idx = cols.map { case (c, _) => combined.schema.fieldIndex(c) }
-            val schema = StructType(cols.map { case (c, name) => combined.schema(c).copy(name = name) })
-            val own = bySet.getOrElse(sets.indexOf(gb), Nil).map(r => Row.fromSeq(idx.map(r.get)))
-            // A global set over an empty frame has no row; its SUMs are NULL.
-            val data = if (own.isEmpty && gb.isEmpty) Seq(Row.fromSeq(idx.map(_ => null))) else own
-            queryResults(o.query.name) = spark.createDataFrame(data.asJava, schema)
-          }
+          queryResults ++= decode(spark, pass, agg.schema, agg.collect())
         }
       }
     } catch {
@@ -180,6 +169,89 @@ object LmfaoExec {
     }
 
     Result(queryResults.toMap, viewFrames.toMap, groups, plan)
+  }
+
+  /** The column of set i's j-th sum in an output pass's job. */
+  private def sumName(i: Int, j: Int): String = s"lmfao_s${i}_$j"
+
+  /** Decode an output pass's collected rows into one driver-local frame per
+    * query: each query's rows are its source set's rows (the cube's, or its
+    * own set's) rolled up by its group-by attributes. A SUM adds the sums
+    * that are not NULL and is NULL when all are; a global query with no row
+    * gets one row of NULL sums, as SQL's SUM over no rows.
+    */
+  private def decode(spark: SparkSession, pass: OutputPass, schema: StructType,
+                     rows: Array[Row]): Seq[(String, DataFrame)] = {
+    val setIdx = schema.fieldIndex(SetColumn)
+    val bySet = rows.groupBy(_.getInt(setIdx))
+    for {
+      (set, i) <- pass.sets.zipWithIndex
+      o <- set.outputs
+    } yield {
+      val keys = o.query.groupBy.map(schema.fieldIndex)
+      val sums = o.terms.map(t => schema.fieldIndex(sumName(i, set.sumIndex(t))))
+      val groups = mutable.LinkedHashMap.empty[Seq[Any], Array[java.lang.Double]]
+      bySet.getOrElse(i, Array.empty[Row]).foreach { r =>
+        val acc = groups.getOrElseUpdate(keys.map(r.get), new Array[java.lang.Double](sums.size))
+        sums.indices.foreach { j =>
+          if (!r.isNullAt(sums(j))) acc(j) = r.getDouble(sums(j)) + (if (acc(j) == null) 0.0 else acc(j).doubleValue)
+        }
+      }
+      if (groups.isEmpty && keys.isEmpty) groups(Nil) = new Array[java.lang.Double](sums.size)
+      val outSchema = StructType(o.query.groupBy.map(schema(_)) ++
+        o.query.measures.map(m => StructField(m.name, DoubleType)))
+      val data = groups.map { case (k, v) => Row.fromSeq(k ++ v) }.toSeq
+      o.query.name -> spark.createDataFrame(data.asJava, outSchema)
+    }
+  }
+
+  /** Which side of a group's join with an incoming view is broadcast. */
+  private sealed abstract class JoinSide(val label: String)
+  private case object BroadcastView extends JoinSide("broadcast view")
+  private case object BroadcastFrame extends JoinSide("broadcast frame")
+  private case object Shuffle extends JoinSide("shuffle")
+
+  /** The smaller side by `JoinTree.sizes`; both are shuffled when the sizes
+    * are equal or either is missing.
+    */
+  private def joinSide(tree: JoinTree, vid: ViewId, node: String): JoinSide =
+    (tree.sizes.get(vid.from), tree.sizes.get(node)) match {
+      case (Some(from), Some(n)) if from < n => BroadcastView
+      case (Some(from), Some(n)) if n < from => BroadcastFrame
+      case _ => Shuffle
+    }
+
+  /** The plan as [[run]] executes it, one line per group in run order: its
+    * incoming views, the join side each is broadcast on and the group that
+    * produces it (by `DependencyGraph.edges`); each view and its sums; and
+    * for an output group its pass: the cube's keys U, their hint product
+    * against the bound, the folded and the exploded group-by sets, and the
+    * sum columns before and after dedup.
+    */
+  def explain(plan: Plan): String = {
+    val groups = DependencyGraph.groups(plan)
+    val producer = DependencyGraph.edges(groups).groupMap(_._2)(_._1)
+    def set(keys: Seq[String]) = keys.mkString("(", ",", ")")
+    groups.zipWithIndex.map { case (g, i) =>
+      val sources = producer.getOrElse(g, Nil).map(groups.indexOf).sorted
+      val joins = g.incoming.map(v => s"${v.label} ${joinSide(plan.tree, v, g.node).label}").mkString(", ")
+      val head = s"#$i ${g.direction.fold(s"${g.node} outputs")(d => s"${g.node}->$d")}" +
+        (if (sources.isEmpty) "" else sources.mkString(" after #", ", #", "")) +
+        (if (joins.isEmpty) "" else s"; joins $joins")
+      val views = g.views.map { v =>
+        s"; ${v.id.label} ${if (isProjection(plan.tree, v.id)) "projection" else "aggregate"} of ${v.aggs.size} sums"
+      }
+      val out = Option.when(g.outputs.nonEmpty) {
+        val pass = OutputPass(plan.tree, g.outputs)
+        val cube =
+          if (pass.folded.isEmpty) "no cube"
+          else s"cube ${set(pass.sets.head.keys)} hint ${pass.hint} <= ${pass.bound} folds " +
+            pass.folded.map(set).mkString(" ")
+        val exploded = if (pass.exploded.isEmpty) "" else s"; explodes ${pass.exploded.map(set).mkString(" ")}"
+        s"; ${g.outputs.size} queries: $cube$exploded; sums ${pass.measures} -> ${pass.sums}"
+      }
+      head + views.mkString + out.getOrElse("")
+    }.mkString("\n")
   }
 
   /** Whether view `id` is computed as a projection of its group's frame:

@@ -15,10 +15,7 @@ object DependencyGraph {
       .groupBy(v => (v.id.from, v.id.to, v.incoming.toSet))
       .map { case ((from, to, _), vs) => ViewGroup(from, Some(to), vs, Nil) }
       .toSeq
-    val outputGroups = plan.outputs
-      .groupBy(o => (o.root, o.incoming.toSet))
-      .map { case ((root, _), outs) => ViewGroup(root, None, Nil, outs) }
-      .toSeq
+    val outputGroups = plan.outputGroups.map(outs => ViewGroup(outs.head.root, None, Nil, outs))
     topoSort(viewGroups ++ outputGroups)
   }
 

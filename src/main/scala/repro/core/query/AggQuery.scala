@@ -1,6 +1,7 @@
 package repro.core.query
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 
 /** One group-by aggregate query over the natural join D of all relations:
   *
@@ -39,15 +40,31 @@ object AggQuery {
 
   /** Collect `q`'s result frame once. Group-by values are integer-valued
     * attributes, read as Long; measures are read as Double, with the NULL of
-    * a global SUM over no rows read as 0.0.
+    * a global SUM over no rows read as 0.0. A driver-local frame (a
+    * `LocalRelation`, as the engine returns) is read straight from its rows,
+    * with no Spark job; any other frame is collected. A NULL group-by value
+    * is rejected, naming the query and the attribute.
     */
-  def collect(q: AggQuery, result: DataFrame): Seq[LocalRow] =
-    result.collect().toSeq.map { r =>
-      LocalRow(
-        q.groupBy.map(k => r.getAs[Number](k).longValue),
-        q.measures.map { m =>
-          val i = r.fieldIndex(m.name)
-          if (r.isNullAt(i)) 0.0 else r.getDouble(i)
-        })
+  def collect(q: AggQuery, result: DataFrame): Seq[LocalRow] = {
+    // Each row as its value by column index (null for NULL), and the columns.
+    val (rows, columns) = result.queryExecution.logical match {
+      case local: LocalRelation =>
+        (local.data.map(r => (i: Int) => r.get(i, local.output(i).dataType)), local.output.map(_.name))
+      case _ => (result.collect().toSeq.map(r => (i: Int) => r.get(i)), result.columns.toSeq)
     }
+    def index(c: String) = {
+      require(columns.contains(c), s"query ${q.name}: result has no column $c")
+      columns.indexOf(c)
+    }
+    val keys = q.groupBy.map(k => k -> index(k))
+    val measures = q.measures.map(m => index(m.name))
+    rows.map { r =>
+      LocalRow(
+        keys.map { case (k, i) =>
+          require(r(i) != null, s"query ${q.name}: NULL value of group-by attribute $k")
+          r(i).asInstanceOf[Number].longValue
+        },
+        measures.map(i => if (r(i) == null) 0.0 else r(i).asInstanceOf[Double]))
+    }
+  }
 }

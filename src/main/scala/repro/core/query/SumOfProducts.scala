@@ -32,18 +32,23 @@ object SumOfProducts {
     * in [[SetColumn]]. Every row of the frame is copied once per set; in set
     * i's copy the keys of the other sets are NULL, and only set i's sums read
     * it. Sum names must be distinct across sets. Unlike [[groupedSum]], a
-    * global set over an empty frame has no row.
+    * global set over an empty frame has no row. A single set is a plain
+    * [[groupedSum]] with no copy (a global one keeps its row of NULL sums),
+    * and its rows carry set 0.
     */
   def groupingSets(frame: DataFrame, sets: Seq[(Seq[String], Seq[(String, Column)])]): DataFrame = {
     require(sets.nonEmpty, "no grouping sets")
-    val set = col(SetColumn)
-    val keys = sets.flatMap(_._1).distinct.map { k =>
-      when(set.isin(sets.indices.filter(i => sets(i)._1.contains(k)): _*), col(k)).as(k)
+    if (sets.size == 1) groupedSum(frame, sets.head._1, sets.head._2).withColumn(SetColumn, lit(0))
+    else {
+      val set = col(SetColumn)
+      val keys = sets.flatMap(_._1).distinct.map { k =>
+        when(set.isin(sets.indices.filter(i => sets(i)._1.contains(k)): _*), col(k)).as(k)
+      }
+      val exprs = sets.zipWithIndex.flatMap { case ((_, sums), i) =>
+        sums.map { case (name, p) => sum(when(set === i, p)).as(name) }
+      }
+      frame.withColumn(SetColumn, explode(array(sets.indices.map(lit): _*)))
+        .groupBy(set +: keys: _*).agg(exprs.head, exprs.tail: _*)
     }
-    val exprs = sets.zipWithIndex.flatMap { case ((_, sums), i) =>
-      sums.map { case (name, p) => sum(when(set === i, p)).as(name) }
-    }
-    frame.withColumn(SetColumn, explode(array(sets.indices.map(lit): _*)))
-      .groupBy(set +: keys: _*).agg(exprs.head, exprs.tail: _*)
   }
 }

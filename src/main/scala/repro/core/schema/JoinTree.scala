@@ -14,11 +14,17 @@ package repro.core.schema
   * the relations' declared keys: a broken key leaves every answer exact, but
   * the views it widens or projects then hold more rows than their keys
   * promise.
+  *
+  * `domains` are per-attribute bounds on the number of distinct values, each
+  * at least 1. The engine reads them to decide which grouping sets of an
+  * output group it aggregates as one cube ([[repro.core.viewgen.OutputPass]]);
+  * like `sizes`, a wrong hint costs time, never answers.
   */
 final case class JoinTree(
     relations: Seq[Relation],
     edges: Seq[(String, String)],
     sizes: Map[String, Long] = Map.empty,
+    domains: Map[String, Long] = Map.empty,
 ) {
   require(relations.nonEmpty, "join tree must have at least one relation")
   require(relations.map(_.name).distinct.size == relations.size, "duplicate relation names")
@@ -60,6 +66,11 @@ final case class JoinTree(
 
   /** All attributes appearing anywhere in the tree. */
   val allAttrs: Set[String] = relations.flatMap(_.attrs).toSet
+
+  domains.foreach { case (a, n) =>
+    require(allAttrs.contains(a), s"domain hint for unknown attribute $a")
+    require(n >= 1, s"domain hint for attribute $a is $n; a hint must be at least 1")
+  }
 
   /** Canonical owner of an attribute: the first relation in schema order that
     * contains it. Every unary aggregate factor over the attribute is evaluated

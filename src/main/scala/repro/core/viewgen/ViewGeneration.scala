@@ -16,6 +16,10 @@ import repro.core.schema.JoinTree
   * @param nAggColumns     distinct aggregate columns across merged views after
   *                        signature dedup (shared partials counted once)
   * @param nGroups         multi-output view groups (see [[repro.core.group]])
+  * @param nOutputSums     sum columns the output passes evaluate: the
+  *                        distinct products of each grouping set
+  *                        ([[OutputPass]]); before that dedup there is one per
+  *                        aggregate
   */
 final case class SharingStats(
     nQueries: Int,
@@ -24,6 +28,7 @@ final case class SharingStats(
     nMergedViews: Int,
     nAggColumns: Int,
     nGroups: Int,
+    nOutputSums: Int,
 )
 
 /** The complete multi-query plan: merged views in a valid bottom-up
@@ -38,6 +43,11 @@ final case class Plan(
 ) {
   def viewById: Map[ViewId, MergedView] = views.map(v => v.id -> v).toMap
 
+  /** The outputs by output group: those with the same root and incoming
+    * views share one join frame and one output pass.
+    */
+  def outputGroups: Seq[Seq[QueryOutput]] = outputs.groupBy(o => (o.root, o.incoming.toSet)).values.toSeq
+
   def stats(nGroups: Int): SharingStats = SharingStats(
     nQueries = queries.size,
     nAggregates = queries.map(_.measures.size).sum,
@@ -45,6 +55,7 @@ final case class Plan(
     nMergedViews = views.size,
     nAggColumns = views.map(_.aggs.size).sum,
     nGroups = nGroups,
+    nOutputSums = outputGroups.map(OutputPass(tree, _).sums).sum,
   )
 }
 

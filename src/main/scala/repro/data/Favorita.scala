@@ -13,7 +13,8 @@ import repro.core.schema.{JoinTree, Relation}
   * hang off Sales. All attributes are integer-valued Longs so aggregate sums
   * are exact in double arithmetic (see DESIGN.md). Sizes scale with `sf`
   * (SF=1 ≈ 6M sales rows). Every dimension relation declares its key; the
-  * generator builds each key from `range` ids, so the keys hold.
+  * generator builds each key from `range` ids, so the keys hold. The tree's
+  * domain hints are the generators' value ranges.
   */
 object Favorita {
   val sales: Relation        = Relation("Sales", Seq("date", "store", "item", "units", "promo"))
@@ -49,6 +50,12 @@ object Favorita {
       "Items" -> nItems(sf),
       "Oil" -> nDates,
       "Holidays" -> nDates,
+    ),
+    // The number of values each generator below can draw.
+    domains = Map(
+      "date" -> nDates, "store" -> nStores, "item" -> nItems(sf), "units" -> 50L, "promo" -> 2L,
+      "txns" -> 2000L, "city" -> 22L, "state" -> 16L, "cluster" -> 17L, "family" -> 33L, "iclass" -> 337L,
+      "perishable" -> 2L, "oilprize" -> 80L, "htype" -> 6L, "transferred" -> 2L,
     ),
   )
 

@@ -11,7 +11,8 @@ import repro.core.schema.{JoinTree, Relation}
   * makes view direction matter), Item and Weather hang off Inventory.
   * Integer-valued Longs throughout; sizes scale with `sf` (SF=1 ≈ 4.2M
   * inventory rows). Every dimension relation declares its key; the generator
-  * builds each key from `range` ids, so the keys hold.
+  * builds each key from `range` ids, so the keys hold. The tree's domain hints
+  * are the generators' value ranges.
   */
 object Retailer {
   val inventory: Relation = Relation("Inventory", Seq("locn", "dateid", "ksn", "inventoryunits"))
@@ -47,6 +48,13 @@ object Retailer {
       "Census" -> nZip,
       "Item" -> nKsn(sf),
       "Weather" -> nLocn * nDates,
+    ),
+    // The number of values each generator below can draw.
+    domains = Map(
+      "locn" -> nLocn, "dateid" -> nDates, "ksn" -> nKsn(sf), "inventoryunits" -> 30L, "zip" -> nZip,
+      "rgn" -> 10L, "population" -> 20000L, "medianage" -> 60L, "households" -> 8000L, "category" -> 40L,
+      "subcategory" -> 400L, "categorycluster" -> 10L, "prize" -> 999L, "rain" -> 2L, "snow" -> 2L,
+      "maxtemp" -> 45L, "mintemp" -> 25L, "thunder" -> 2L,
     ),
   )
 

@@ -66,17 +66,21 @@ object T1Sharing {
         s.nMergedViews.toString,
         s.nAggColumns.toString,
         s.nGroups.toString,
+        s"${s.nAggregates} -> ${s.nOutputSums}",
         w.paperAnchor,
       )
     }
     Table(
       "T1: batch sizes and sharing (queries -> merged views -> groups)",
-      Seq("workload", "queries", "aggregates", "views unmerged", "views merged", "agg columns", "groups", "paper anchor"),
+      Seq("workload", "queries", "aggregates", "views unmerged", "views merged", "agg columns", "groups",
+        "output sums (dedup)", "paper anchor"),
       rows,
       notes = Seq(
         "Shape claim: merged views << unmerged views; one view serves many queries.",
         "Our lite schemas have fewer attributes than the paper's (43), so absolute",
         "batch sizes are smaller; the counting formula is checked in unit tests.",
+        "Output sums: one per query measure, then the distinct products per grouping",
+        "set of each output pass (small sets fold into one cube set by domain hints).",
       ),
     )
   }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.baseline.Baselines
 import repro.core.exec.LmfaoExec
+import repro.core.query.AggQuery
 import repro.core.viewgen.ViewGeneration
 import repro.ml.linreg.SigmaBatch
 import repro.util.{Table, Timing}
@@ -13,50 +14,70 @@ import repro.util.{Table, Timing}
   * aggregate separately "by several orders of magnitude"; the expected shape
   * here is LMFAO < shared-join < per-query, with the per-query gap growing
   * with batch size).
+  *
+  * Each method runs once to warm up and then `Reps` times, the methods taking
+  * turns in every round, all in one session; a row reports the median and
+  * the range of the timed runs.
   */
 object T2BatchRuntime {
 
-  final case class Row(dataset: String, method: String, queries: Int, seconds: Double)
+  /** Timed runs per method, after one warm-up run. */
+  val Reps = 3
 
-  def measure(ds: Workloads.Dataset, queries: Seq[repro.core.query.AggQuery]): Seq[Row] = {
-    val (_, lmfao) = Timing.timed {
-      val plan = ViewGeneration.plan(ds.tree, queries)
-      val res = LmfaoExec.run(ds.tables, plan)
-      try res.queryResults.values.foreach(_.collect())
-      finally res.cleanup()
+  /** @param seconds the timed runs' wall-clock seconds, in run order */
+  final case class Row(dataset: String, method: String, queries: Int, seconds: Seq[Double]) {
+    def median: Double = seconds.sorted.apply(seconds.size / 2)
+  }
+
+  def measure(ds: Workloads.Dataset, queries: Seq[AggQuery]): Seq[Row] = {
+    val methods: Seq[(String, () => Unit)] = Seq(
+      "LMFAO" -> { () =>
+        val res = LmfaoExec.run(ds.tables, ViewGeneration.plan(ds.tree, queries))
+        try res.queryResults.values.foreach(_.collect())
+        finally res.cleanup()
+      },
+      "SharedJoin" -> { () =>
+        val (d, results) = Baselines.runSharedJoin(ds.tree, ds.tables, queries)
+        try results.values.foreach(_.collect()) finally d.unpersist()
+      },
+      "PerQuery" -> { () =>
+        Baselines.runPerQuery(ds.tree, ds.tables, queries).values.foreach(_.collect())
+      },
+    )
+    val rounds = (0 to Reps).map(_ => methods.map { case (_, body) => Timing.timed(body())._2 })
+    methods.indices.map { m =>
+      Row(ds.name, methods(m)._1, queries.size, rounds.drop(1).map(_(m)))
     }
-    val (_, sharedJoin) = Timing.timed {
-      val (d, results) = Baselines.runSharedJoin(ds.tree, ds.tables, queries)
-      try results.values.foreach(_.collect()) finally d.unpersist()
-    }
-    val (_, perQuery) = Timing.timed {
-      Baselines.runPerQuery(ds.tree, ds.tables, queries).values.foreach(_.collect())
-    }
-    Seq("LMFAO" -> lmfao, "SharedJoin" -> sharedJoin, "PerQuery" -> perQuery)
-      .map { case (method, t) => Row(ds.name, method, queries.size, t) }
   }
 
   def run(spark: SparkSession, sf: Double): Table = {
-    val rows = Seq(
+    val batches = Seq(
       (Workloads.favorita(spark, sf), SigmaBatch.queries(Workloads.favoritaLr)),
       (Workloads.retailer(spark, sf), SigmaBatch.queries(Workloads.retailerLr)),
-    ).flatMap { case (ds, queries) =>
+    )
+    val rows = batches.flatMap { case (ds, queries) =>
       ds.cache()
       val measured = try measure(ds, queries) finally ds.uncache()
-      val perQuery = measured.find(_.method == "PerQuery").get.seconds
+      val perQuery = measured.find(_.method == "PerQuery").get.median
       measured.map { r =>
-        Seq(r.dataset, r.method, r.queries.toString, Timing.fmt(r.seconds), f"${perQuery / r.seconds}%.1fx")
+        Seq(r.dataset, r.method, r.queries.toString, Timing.fmt(r.median),
+          s"${Timing.fmt(r.seconds.min)}-${Timing.fmt(r.seconds.max)}", f"${perQuery / r.median}%.1fx")
       }
+    }
+    // Each batch's plan as the engine runs it: its views and its output
+    // pass's fold decision.
+    val plans = batches.flatMap { case (ds, queries) =>
+      s"${ds.name} plan:" +: LmfaoExec.explain(ViewGeneration.plan(ds.tree, queries)).split("\n").map("  " + _)
     }
     Table(
       s"T2: LR aggregate-batch runtime at SF=$sf (lower is better)",
-      Seq("dataset", "method", "queries", "seconds", "speedup vs PerQuery"),
+      Seq("dataset", "method", "queries", s"seconds (median of $Reps)", "min-max", "speedup vs PerQuery"),
       rows,
       notes = Seq(
         "Paper claim: evaluating the batch with shared views beats per-aggregate",
         "execution by orders of magnitude on large batches; shape reproduced if",
         "LMFAO < SharedJoin < PerQuery with a widening per-query gap.",
-      ),
+      ) ++ plans,
     )
   }
 }

@@ -99,7 +99,9 @@ object RkMeans {
     * column c_dim (a tiny value→cluster join), returning the augmented tree
     * and tables. The join tree shape is unchanged, so the running intersection
     * property is preserved; each row keeps at most one assignment, so every
-    * declared key still holds and is kept.
+    * declared key still holds and is kept. The tree keeps its domain hints
+    * and hints each c_dim by the number of clusters its assignment uses, at
+    * most `kPerDim`.
     */
   def augment(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
               dims: Seq[String], assignments: Map[String, Map[Long, Long]])
@@ -116,7 +118,8 @@ object RkMeans {
         if (r.name == owner) r.copy(attrs = r.attrs :+ s"c_$a") else r
       }
     }
-    (JoinTree(newRelations, tree.edges, tree.sizes), newTables)
+    val clusters = dims.map(a => s"c_$a" -> assignments(a).values.toSet.size.max(1).toLong)
+    (JoinTree(newRelations, tree.edges, tree.sizes, tree.domains ++ clusters), newTables)
   }
 
   /** π_dims(D) with multiplicities: the distinct dim-tuples of D as points,

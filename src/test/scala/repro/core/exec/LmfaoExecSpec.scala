@@ -6,21 +6,25 @@ import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.catalyst.optimizer.{BuildLeft, BuildRight}
-import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.execution.{GenerateExec, LocalTableScanExec, QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions.{col, lit, raise_error, when}
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.apache.spark.storage.StorageLevel
 
 import repro.{Check, Oracle, SparkSpec, TestData}
 import repro.core.group.DependencyGraph
 import repro.core.query._
-import repro.core.viewgen.{ViewGeneration, ViewId}
+import repro.core.schema.JoinTree
+import repro.core.viewgen.{OutputPass, ViewGeneration, ViewId}
 import repro.ml.linreg.{Features, SigmaBatch}
 
 /** Engine-vs-DuckDB oracle tests over the micro schemas: every result the
@@ -58,6 +62,31 @@ class LmfaoExecSpec extends SparkSpec {
     q("b3", Seq("d"), Seq(Measure.sum("s3", "a"), Measure.count("c3"))),
     q("b4", Seq("b", "c"), Seq(Measure.sumProduct("p4", "a", "d"))),
   )
+
+  // Root B of the chain, sized so that its cube's bound is `bound`; b takes
+  // the values 1..7 in B, and c the values 1..5.
+  private def hinted(bound: Long, domains: (String, Long)*) =
+    chainTree.copy(sizes = chainTree.sizes.updated("B", bound * 10), domains = domains.toMap)
+  private val byBC = Seq(
+    q("all", Nil, Seq(Measure.count("n"), Measure.sum("s", "a"))),
+    q("byB", Seq("b"), Seq(Measure.count("n"), Measure.sumProduct("p", "a", "d"))),
+    q("byC", Seq("c"), Seq(Measure.sum("s", "a"), Measure.count("n"))),
+    q("byBC", Seq("b", "c"), Seq(Measure.sumSquare("s2", "d"), Measure.count("n"))),
+    q("byCB", Seq("c", "b"), Seq(Measure.count("n"))),
+  )
+  private val rootBC = byBC.map(_.name -> "B").toMap
+
+  /** The output pass of `batch`'s one output group. */
+  private def outputPass(tree: JoinTree, batch: Seq[AggQuery], roots: Map[String, String]): OutputPass = {
+    val Seq(outputs) = ViewGeneration.plan(tree, batch, roots).outputGroups
+    OutputPass(tree, outputs)
+  }
+
+  /** Whether the one output pass that `body` collects copies its frame. */
+  private def explodes(body: => Unit): Boolean = {
+    val Seq(pass) = collectedPlans(body)(_.nonEmpty)
+    pass.exists(_.isInstanceOf[GenerateExec])
+  }
 
   /** The executed plans of the passes that `body` collects, once `ready`
     * holds of them: an output pass is collected straight from its plan, and
@@ -364,6 +393,95 @@ class LmfaoExecSpec extends SparkSpec {
       } finally res.cleanup()
       Check.lmfaoVsDuck(chainTree, emptied, batch, roots)
     }
+  }
+
+  test("a batch split between the cube and sets of their own is one exploding job and matches DuckDB") {
+    val tree = hinted(10, "b" -> 7L, "c" -> 5L)
+    val pass = outputPass(tree, byBC, rootBC)
+    assert(pass.folded == Seq(Nil, Seq("c")) && pass.hint == 5L)
+    assert(pass.exploded == Seq(Seq("b"), Seq("b", "c")))
+    assert(explodes(LmfaoExec.run(chainTables, ViewGeneration.plan(tree, byBC, rootBC)).cleanup()))
+    Check.lmfaoVsDuck(tree, chainTables, byBC, rootBC)
+  }
+
+  test("an all-cube batch is one plain aggregate with no explode and matches DuckDB") {
+    val tree = hinted(35, "b" -> 7L, "c" -> 5L)
+    val pass = outputPass(tree, byBC, rootBC)
+    assert(pass.folded.size == 4 && pass.exploded.isEmpty)
+    assert(pass.sets.map(_.keys) == Seq(Seq("b", "c")) && pass.hint == 35L)
+    // The cube's sums: 1, a, a·d and d², each once for the five queries.
+    assert(pass.measures == 9 && pass.sums == 4)
+    assert(!explodes(LmfaoExec.run(chainTables, ViewGeneration.plan(tree, byBC, rootBC)).cleanup()))
+    Check.lmfaoVsDuck(tree, chainTables, byBC, rootBC)
+  }
+
+  test("a global set folded into a cube over an emptied relation reads as one row of 0.0") {
+    val emptied = chainTables.updated("A", chainTables("A").where(lit(false)))
+    for (tree <- Seq(hinted(10, "b" -> 7L, "c" -> 5L), hinted(35, "b" -> 7L, "c" -> 5L))) {
+      assert(outputPass(tree, byBC, rootBC).folded.head == Nil)
+      val res = LmfaoExec.run(emptied, ViewGeneration.plan(tree, byBC, rootBC))
+      try byBC.foreach { query =>
+        val expected = if (query.groupBy.isEmpty) Seq(LocalRow(Nil, Seq(0.0, 0.0))) else Nil
+        assert(AggQuery.collect(query, res.queryResults(query.name)) == expected, query.name)
+      } finally res.cleanup()
+      Check.lmfaoVsDuck(tree, emptied, byBC, rootBC)
+    }
+  }
+
+  test("a missing hint counts as the node's size and only keeps its sets out of the cube") {
+    // c has no hint: it counts as |B| = 100, so (c) and (b,c) stay exploded.
+    val tree = hinted(10, "b" -> 7L)
+    val pass = outputPass(tree, byBC, rootBC)
+    assert(pass.folded == Seq(Nil, Seq("b")) && pass.exploded == Seq(Seq("c"), Seq("b", "c")))
+    Check.lmfaoVsDuck(tree, chainTables, byBC, rootBC)
+  }
+
+  test("an understated hint folds every set into a cube larger than its bound, with exact answers") {
+    val tree = hinted(10, "b" -> 1L, "c" -> 1L)
+    val pass = outputPass(tree, byBC, rootBC)
+    assert(pass.exploded.isEmpty && pass.sets.map(_.keys) == Seq(Seq("b", "c")))
+    val res = LmfaoExec.run(chainTables, ViewGeneration.plan(tree, byBC, rootBC))
+    try assert(res.queryResults("byBC").count() > pass.bound) finally res.cleanup()
+    Check.lmfaoVsDuck(tree, chainTables, byBC, rootBC)
+  }
+
+  test("AggQuery.collect reads an engine result from its rows, as collecting it through Spark does") {
+    val batch = atB ++ mixedRoots
+    val tree = hinted(10, "b" -> 7L, "c" -> 5L)
+    val res = LmfaoExec.run(chainTables, ViewGeneration.plan(tree, batch, rootB))
+    try batch.foreach { query =>
+      val frame = res.queryResults(query.name)
+      assert(frame.queryExecution.logical.isInstanceOf[LocalRelation], query.name)
+      var local = Seq.empty[LocalRow]
+      assert(jobsOf { local = AggQuery.collect(query, frame) }.isEmpty, query.name)
+      // A filter over the rows is no longer a local relation: it is collected.
+      val collected = AggQuery.collect(query, frame.where(lit(true)))
+      assert(local.nonEmpty && local == collected, query.name)
+    } finally res.cleanup()
+  }
+
+  test("AggQuery.collect rejects a NULL group-by value, naming the query and the attribute") {
+    val schema = StructType(Seq(StructField("k", LongType), StructField("m", DoubleType)))
+    val local = spark.createDataFrame(Seq(Row(null, 1.0), Row(2L, 3.0)).asJava, schema)
+    val query = AggQuery("nullKey", Seq("k"), Seq(Measure.count("m")))
+    for (frame <- Seq(local, local.where(lit(true)))) {
+      val e = intercept[IllegalArgumentException](AggQuery.collect(query, frame))
+      assert(e.getMessage.contains("query nullKey") && e.getMessage.contains("attribute k"), e.getMessage)
+    }
+  }
+
+  test("explain gives one line per group in run order: producers, joins, views and the output pass") {
+    val tree = hinted(10, "b" -> 7L, "c" -> 5L)
+    val plan = ViewGeneration.plan(tree, byBC, rootBC)
+    assert(LmfaoExec.explain(plan).split("\n").toSeq == Seq(
+      "#0 C->B; V_C_to_B(c) aggregate of 3 sums",
+      "#1 A->B; V_A_to_B(b) aggregate of 2 sums",
+      "#2 B outputs after #0, #1; joins V_A_to_B(b) broadcast view, V_C_to_B(c) broadcast view; 5 queries: " +
+        "cube (c) hint 5 <= 10 folds () (c); explodes (b) (b,c); sums 9 -> 6",
+    ))
+    val groups = DependencyGraph.groups(plan)
+    assert(DependencyGraph.edges(groups).map { case (p, c) => (groups.indexOf(p), groups.indexOf(c)) }.toSet ==
+      Set((0, 2), (1, 2)))
   }
 
   test("answers do not depend on the join strategy") {

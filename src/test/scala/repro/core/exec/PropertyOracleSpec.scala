@@ -7,7 +7,7 @@ import org.scalacheck.rng.Seed
 import repro.{Check, Oracle, SparkSpec, TestData}
 import repro.core.query._
 import repro.core.schema.JoinTree
-import repro.core.viewgen.{RootAssignment, ViewGeneration}
+import repro.core.viewgen.{OutputPass, RootAssignment, ViewGeneration}
 
 /** Property-based oracle testing: random group-by aggregate queries with
   * random roots over the chain and star schemas, with and without declared
@@ -199,6 +199,37 @@ class PropertyOracleSpec extends SparkSpec {
     }
     // Vacuous unless some projection view actually held split rows.
     assert(split.contains(true))
+  }
+
+  test("answers are identical under any domain hints: missing, understated, mixed or overstated") {
+    val folds = for {
+      (tree0, tables, seed0) <- Seq((chainTree, chainTables, 14000), (starTree, starTables, 15000),
+        (keyedChainTree, keyedChainTables, 16000), (keyedStarTree, keyedStarTables, 17000))
+      i <- 1 to Cases / 4
+    } yield {
+      // Sizes 10 times the relations' rows, so that a cube's bound is the
+      // number of rows: the hints then decide what folds.
+      val tree = tree0.copy(sizes = tree0.sizes.map { case (r, n) => r -> n * 10 })
+      val batch = sample(batchGen(tree), seed0 + i)
+      val queries = batch.map(_._1)
+      val roots = batch.collect { case (q, Some(r)) => q.name -> r }.toMap
+      val hints = Seq(1L, 10L, 1000000L).map(h => tree.allAttrs.map(_ -> h).toMap)
+      withClue(s"seed=${seed0 + i} batch=$batch") {
+        val runs = (Map.empty[String, Long] +: hints).map { domains =>
+          val hinted = tree.copy(domains = domains)
+          val plan = ViewGeneration.plan(hinted, queries, roots)
+          val res = LmfaoExec.run(tables, plan)
+          try (plan.outputGroups.map(OutputPass(hinted, _).folded.size), queries.map(q => rows(res.queryResults(q.name))))
+          finally res.cleanup()
+        }
+        runs.foreach { case (_, answers) => assert(answers == runs.head._2) }
+        // Every hint 1 folds every set of every output group.
+        Check.lmfaoVsDuck(tree.copy(domains = hints.head), tables, queries, roots)
+        runs.map(_._1).distinct.size
+      }
+    }
+    // Vacuous unless the hints changed some fold decision.
+    assert(folds.exists(_ > 1), folds)
   }
 
   test("the key check rejects a key that the data violates") {

@@ -91,6 +91,14 @@ class JoinTreeSpec extends AnyFunSuite {
     assert(JoinTree(Seq(Relation("X", Seq("x"))), Nil).sizeOf("X") == 1L)
   }
 
+  test("a domain hint must name an attribute of the tree and be at least 1") {
+    assert(diamondless.copy(domains = Map("a" -> 1L, "e" -> 40L)).domains("e") == 40L)
+    val unknown = intercept[IllegalArgumentException](diamondless.copy(domains = Map("z" -> 3L)))
+    assert(unknown.getMessage.contains("attribute z"))
+    val zero = intercept[IllegalArgumentException](diamondless.copy(domains = Map("c" -> 0L)))
+    assert(zero.getMessage.contains("attribute c"))
+  }
+
   test("single-relation tree is valid") {
     val t = JoinTree(Seq(Relation("X", Seq("x", "y"))), Nil)
     assert(t.bottomUpEdges("X").isEmpty)

@@ -27,6 +27,16 @@ class FavoritaSpec extends SparkSpec {
     assert(tables("Holidays").count() == Favorita.nDates)
   }
 
+  test("every attribute has a domain hint that bounds its distinct values") {
+    import org.apache.spark.sql.functions.countDistinct
+    assert(tree.domains.keySet == tree.allAttrs)
+    Favorita.relations.foreach { r =>
+      val distinct = tables(r.name).agg(countDistinct(r.attrs.head), r.attrs.tail.map(countDistinct(_)): _*)
+        .collect()(0).toSeq.map(_.asInstanceOf[Long])
+      r.attrs.zip(distinct).foreach { case (a, n) => assert(n <= tree.domains(a), s"$a: $n distinct values") }
+    }
+  }
+
   test("generation is deterministic in (sf, seed)") {
     val again = Favorita.tables(spark, sf)
     assert(tables("Sales").collect().toSeq == again("Sales").collect().toSeq)

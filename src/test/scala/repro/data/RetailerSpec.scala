@@ -24,6 +24,16 @@ class RetailerSpec extends SparkSpec {
     assert(tables("Weather").count() == Retailer.nLocn * Retailer.nDates)
   }
 
+  test("every attribute has a domain hint that bounds its distinct values") {
+    import org.apache.spark.sql.functions.countDistinct
+    assert(tree.domains.keySet == tree.allAttrs)
+    Retailer.relations.foreach { r =>
+      val distinct = tables(r.name).agg(countDistinct(r.attrs.head), r.attrs.tail.map(countDistinct(_)): _*)
+        .collect()(0).toSeq.map(_.asInstanceOf[Long])
+      r.attrs.zip(distinct).foreach { case (a, n) => assert(n <= tree.domains(a), s"$a: $n distinct values") }
+    }
+  }
+
   test("generation is deterministic in (sf, seed)") {
     val again = Retailer.tables(spark, sf)
     assert(tables("Inventory").collect().toSeq == again("Inventory").collect().toSeq)

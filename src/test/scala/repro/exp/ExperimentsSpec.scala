@@ -45,6 +45,17 @@ class ExperimentsSpec extends SparkSpec {
       s"merging too weak: ${s.nMergedViews} of ${s.nUnmergedViews}")
   }
 
+  test("T1 counts the Σ batches' output sums before and after dedup") {
+    // At SF 0.1 every grouping set of both Σ batches folds into the cube,
+    // so each batch evaluates one sum per distinct product.
+    val sums = T1Sharing.workloads(0.1).collect {
+      case w if w.name.contains("LR Sigma") =>
+        val s = T1Sharing.stats(w)
+        w.name -> (s.nAggregates, s.nOutputSums)
+    }.toMap
+    assert(sums == Map("Favorita LR Sigma batch" -> (32, 10), "Retailer LR Sigma batch" -> (86, 36)))
+  }
+
   test("T1 Rk-means workload is n+1 queries") {
     val rk = T1Sharing.workloads(0.001).find(_.name.contains("Rk-means")).get
     assert(rk.queries.size == Workloads.favoritaRkDims.size + 1)
@@ -56,7 +67,8 @@ class ExperimentsSpec extends SparkSpec {
     val rows = T2BatchRuntime.measure(ds, queries)
     ds.uncache()
     assert(rows.map(_.method).toSet == Set("LMFAO", "SharedJoin", "PerQuery"))
-    assert(rows.forall(_.seconds > 0))
+    assert(rows.forall(r => r.seconds.size == T2BatchRuntime.Reps && r.seconds.forall(_ > 0)))
+    assert(rows.forall(r => r.seconds.min <= r.median && r.median <= r.seconds.max))
     assert(rows.forall(_.queries == 6))
   }
 

@@ -5,7 +5,7 @@ import repro.core.exec.LmfaoExec
 import repro.core.group.DependencyGraph
 import repro.core.query.{AggQuery, CmpOp, Predicate}
 import repro.core.schema.JoinTree
-import repro.core.viewgen.ViewGeneration
+import repro.core.viewgen.{OutputPass, ViewGeneration}
 import repro.data.{Favorita, Retailer}
 import repro.ml.linreg.{Features, SigmaBatch}
 import repro.ml.rkmeans.RkMeans
@@ -34,6 +34,29 @@ class ModelPlansSpec extends SparkSpec {
     val (gridTree, _) = RkMeans.augment(spark, tree, Favorita.tables(spark, sf), dims, assignments)
     Seq((s"$name projections", tree, RkMeans.projectionQueries(dims)),
       (s"$name grid", gridTree, Seq(RkMeans.coresetQuery(dims))))
+  }
+
+  test("the Σ batches fold into a cube; CART's continuous features and wide Rk-means projections stay exploded") {
+    for (sf <- Seq(0.01, 0.1)) withClue(s"SF $sf: ") {
+      val (fav, ret) = (Favorita.tree(sf), Retailer.tree(sf))
+      def pass(tree: JoinTree, batch: Seq[AggQuery]) = {
+        val plan = ViewGeneration.plan(tree, batch)
+        val Seq(outputs) = plan.outputGroups
+        (OutputPass(tree, outputs), LmfaoExec.explain(plan))
+      }
+      val (retailerSigma, _) = pass(ret, SigmaBatch.queries(Workloads.retailerLr))
+      assert(retailerSigma.exploded.isEmpty, retailerSigma)
+      val (perfbenchLr, perfbenchExplain) = pass(ret, SigmaBatch.queries(Features("inventoryunits", Seq("prize"),
+        Seq("category"))))
+      assert(perfbenchLr.exploded.isEmpty && perfbenchLr.sets.head.keys == Seq("category"))
+      if (sf == 0.01) assert(perfbenchExplain.contains("cube (category) hint 40 <= 4200 folds () (category); sums 9 -> 6"))
+      val (cart, cartExplain) = pass(ret, level(Workloads.retailerDt, Workloads.retailerDtLabel, Seq(Nil)))
+      Workloads.retailerDt.filter(_.kind == FeatureKind.Continuous).foreach { f =>
+        assert(cart.exploded.contains(Seq(f.attr)), cartExplain)
+      }
+      val (rk, _) = pass(fav, RkMeans.projectionQueries(Workloads.favoritaRkDims))
+      assert(rk.exploded.contains(Seq("txns")), rk)
+    }
   }
 
   test("every model batch over Favorita and Retailer is one output group at the fact table over projections") {
