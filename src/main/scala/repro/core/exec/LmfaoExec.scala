@@ -3,7 +3,7 @@ package repro.core.exec
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col}
 import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
@@ -11,12 +11,12 @@ import org.apache.spark.storage.StorageLevel
 import repro.core.group.{DependencyGraph, ViewGroup}
 import repro.core.query.SumOfProducts.{groupedSum, groupingSets, product, SetColumn}
 import repro.core.schema.JoinTree
-import repro.core.viewgen.{OutputPass, Plan, ViewId}
+import repro.core.viewgen.{AggRef, MergedView, OutputPass, Plan, ViewId}
 
 /** The LMFAO execution layer on Spark.
   *
   * Each multi-output view group becomes one join of the node's relation with
-  * the group's incoming view frames; every merged view of the group is a
+  * the group's incoming views; every aggregated view of the group is a
   * single grouped SUM-of-products pass over that frame, and *all query
   * outputs of the group are combined into one pass* (the paper's
   * multi-output plans: e.g. the 86 queries of Retailer's Σ batch become one
@@ -32,35 +32,49 @@ import repro.core.viewgen.{OutputPass, Plan, ViewId}
   * Every computed aggregated view is cached, as LMFAO's engine stores each
   * view: it costs a shuffle, and later groups of the run may read it again.
   * Nothing else is cached: a group's join frame is read directly by each
-  * pass over it, and a projection view (below) is kept as its `select`, so
-  * its consumer's job scans the relation again.
+  * pass over it.
   *
   * A view whose keys include the declared key of its node's relation is a
-  * projection of the frame: a `select` of its keys and products, with no
-  * aggregate and no shuffle. When the keys hold, every group of the
-  * aggregate would hold exactly one row: the relation has one row per key
-  * value, and an incoming view has one row per value of its keys, whose
-  * attributes other than its join keys are group-by attributes that the view
-  * generation also carries on the outgoing view, or that the join keys fix.
-  * A broken key costs rows, not answers: the projection then keeps several
-  * rows of one group, but every measure multiplies each incoming view's
-  * partial exactly once, so each output is linear in each view's rows and
-  * split rows add up to the same sums. A projection is coalesced to one
-  * partition per million rows of its relation by `JoinTree.sizes` (one
-  * partition when the size is missing).
+  * projection: each row of the relation's join with its incoming views
+  * gives one row of the view, with no aggregate and no shuffle. When the
+  * keys hold, every group of the aggregate would hold exactly one row: the
+  * relation has one row per key value, and an incoming view has one row per
+  * value of its keys, whose attributes other than its join keys are
+  * group-by attributes that the view generation also carries on the
+  * outgoing view, or that the join keys fix. A broken key costs rows, not
+  * answers: the projection then keeps several rows of one group, but every
+  * measure multiplies each incoming view's partial exactly once, so each
+  * output is linear in each view's rows and split rows add up to the same
+  * sums.
   *
-  * Each join of the fold broadcasts its smaller side by `JoinTree.sizes`.
-  * The incoming view V_{from→node} has at most |R_from| rows, and the
-  * group's frame before the join, the node's relation joined with the views
-  * folded in before, has at most |R_node| rows. Both bounds hold when every
-  * view carries only attributes that its join keys fix, so that each join
-  * is many-to-one. The view is broadcast when |R_from| < |R_node|, the frame
-  * when |R_node| < |R_from| (Transactions receiving V_{Sales→Transactions}),
-  * and both sides are shuffled when the sizes are equal or either is
-  * missing. A view that carries other attributes can break the bounds; the
-  * choice is then a guess, and it never changes answers. Every query result
-  * is returned as a driver-local frame, which `AggQuery.collect` reads
-  * straight from its rows.
+  * A projection is never a frame of its own. As in the paper, where a view
+  * over a keyed relation is a lookup into it, the frame that reads
+  * V_{R→node} *inlines* it: it joins R's relation itself, coalesced to one
+  * partition per million rows of R by `JoinTree.sizes` (one partition when
+  * the size is missing), folds R's own incoming views into the same frame,
+  * recursively, and every expression that reads one of V's sums reads the
+  * product that defines it instead, over the frame's columns (one
+  * `withColumns` per inlined view was measured slower on Retailer's Σ
+  * batch). The joins are the same; the rows of the frame are those of the
+  * join with V. A chain of projections
+  * (Stores→Transactions→Sales) thus becomes joins of one frame with each
+  * relation, none of them inside another's broadcast, so Spark runs the
+  * broadcasts side by side instead of one after another. A group whose
+  * views are all projections runs nothing itself.
+  *
+  * Each join of the fold broadcasts its smaller side by `JoinTree.sizes`,
+  * against the node whose frame is folded. The relation R_from, or the
+  * incoming view V_{from→to}, has at most |R_from| rows, and the frame
+  * before the join, the node's relation joined with what was folded in
+  * before, has at most |R_node| rows. Both bounds hold when every view
+  * carries only attributes that its join keys fix, so that each join is
+  * many-to-one. The joined side is broadcast when |R_from| < |R_node|, the
+  * frame when |R_node| < |R_from| (Transactions receiving
+  * V_{Sales→Transactions}), and both sides are shuffled when the sizes are
+  * equal or either is missing. A view that carries other attributes can
+  * break the bounds; the choice is then a guess, and it never changes
+  * answers. Every query result is returned as a driver-local frame, which
+  * `AggQuery.collect` reads straight from its rows.
   *
   * Groups run one after another on the calling thread, in group order, so
   * every Spark job carries the caller's local properties. If a pass fails,
@@ -70,45 +84,55 @@ import repro.core.viewgen.{OutputPass, Plan, ViewId}
   * Each run computes every view of its plan: a batch reads no view of an
   * earlier run. Over Favorita and Retailer, the models' batches root every
   * query at the fact table ([[repro.core.viewgen.RootAssignment]]), where
-  * every view is a projection, so those runs cache nothing.
+  * every view is a projection, so those runs cache nothing and each is one
+  * frame over the fact table with every dimension relation joined in.
   */
 object LmfaoExec {
 
-  /** Rows of a projection view's relation per partition of the view. */
+  /** Rows of an inlined relation per partition. */
   private val ProjectionPartitionRows = 1000000L
 
   /** Execution result: per-query driver-local DataFrames (collecting one
-    * starts no Spark job) plus the view frames and the groups that
-    * produced them (for inspection and benchmarks).
+    * starts no Spark job) plus the groups that produced them and the view
+    * frames (for inspection and benchmarks).
     *
     * Spark keys its cache by plan, so two live results that compute an
     * equal aggregated view over the same input frames share one cache
     * entry, and the first `cleanup()` drops it; the other result's view is
     * then computed again when read, with the same answers.
     *
-    * @param plan the plan that was run
+    * @param plan       the plan that was run
+    * @param aggregated the cached frame of each aggregated view
     */
-  final case class Result(
-      queryResults: Map[String, DataFrame],
-      viewFrames: Map[ViewId, DataFrame],
-      groups: Seq[ViewGroup],
-      plan: Plan,
+  final class Result private[LmfaoExec] (
+      val queryResults: Map[String, DataFrame],
+      val groups: Seq[ViewGroup],
+      val plan: Plan,
+      aggregated: Map[ViewId, DataFrame],
+      tables: Map[String, DataFrame],
   ) {
-    /** Unpersist every view this run cached. */
-    def cleanup(): Unit = unpersistComputed(viewFrames)
-  }
+    /** Every view's frame: an aggregated view's cached frame, and a `select`
+      * of a projection view's keys and sums over the fold of its relation,
+      * the frame its consumers inline. The selects are built when this is
+      * first read; a run builds none.
+      */
+    lazy val viewFrames: Map[ViewId, DataFrame] = plan.views.map { v =>
+      v.id -> aggregated.getOrElse(v.id, {
+        val (frame, inlined) =
+          fold(plan, tables, aggregated, v.id.from)(relation(plan.tree, tables, v.id.from), v.incoming)
+        frame.select(v.id.keys.map(col) ++ sums(v, inlined).map { case (name, c) => c.as(name) }: _*)
+      })
+    }.toMap
 
-  /** Unpersist the views a run cached; a projection view is not cached, and
-    * unpersisting it is a no-op.
-    */
-  private def unpersistComputed(viewFrames: collection.Map[ViewId, DataFrame]): Unit =
-    viewFrames.values.foreach(_.unpersist())
+    /** Unpersist every view this run cached. */
+    def cleanup(): Unit = aggregated.values.foreach(_.unpersist())
+  }
 
   /** Run a plan over the given base relations.
     *
     * Every aggregated view the run computes is cached, and nothing else is:
-    * a projection view is kept as its `select`, and each view pass and each
-    * output pass reads its group's join frame directly.
+    * each projection view is inlined into the frames that read it, and each
+    * view pass and each output pass reads its group's join frame directly.
     *
     * @param tables one DataFrame per relation of the plan's join tree
     */
@@ -121,55 +145,93 @@ object LmfaoExec {
     val spark = tables(plan.tree.relations.head.name).sparkSession
 
     val groups = DependencyGraph.groups(plan)
-    val viewFrames = mutable.Map.empty[ViewId, DataFrame]
+    val aggregated = mutable.Map.empty[ViewId, DataFrame]
     val queryResults = mutable.Map.empty[String, DataFrame]
 
     // One pass over the groups, in group order: a failing pass throws at
-    // once, and the views cached so far are unpersisted.
+    // once, and the views cached so far are unpersisted. A group of
+    // projections only builds nothing: its consumers inline it.
     try {
       groups.foreach { g =>
-        val frame = g.incoming.foldLeft(tables(g.node)) { (acc, vid) =>
-          val vf = viewFrames(vid)
-          val keys = (acc.columns.toSet intersect vid.keys.toSet).toSeq.sorted
-          require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
-          joinSide(plan.tree, vid, g.node) match {
-            case BroadcastView => acc.join(broadcast(vf), keys, "inner")
-            case BroadcastFrame => broadcast(acc).join(vf, keys, "inner")
-            case Shuffle => acc.join(vf, keys, "inner")
+        val computed = g.views.filterNot(v => isProjection(plan.tree, v.id))
+        if (computed.nonEmpty || g.outputs.nonEmpty) {
+          val (frame, inlined) = fold(plan, tables, aggregated, g.node)(tables(g.node), g.incoming)
+          computed.foreach { v =>
+            aggregated(v.id) = groupedSum(frame, v.id.keys, sums(v, inlined)).persist(StorageLevel.MEMORY_AND_DISK)
           }
-        }
-        // One pass per view over the join frame; only aggregated views are
-        // cached, a projection is scanned again by its consumer.
-        g.views.foreach { v =>
-          val sums = v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(_.aggName)))
-          viewFrames(v.id) =
-            if (isProjection(plan.tree, v.id)) {
-              val rows = plan.tree.sizeOf(v.id.from)
-              frame.select(v.id.keys.map(col) ++ sums.map { case (name, p) => p.as(name) }: _*)
-                .coalesce(((rows + ProjectionPartitionRows - 1) / ProjectionPartitionRows).max(1L).toInt)
-            } else groupedSum(frame, v.id.keys, sums).persist(StorageLevel.MEMORY_AND_DISK)
-        }
 
-        // Multi-output pass: all queries of the group are one aggregate job
-        // over its grouping sets, collected once and decoded on the driver.
-        if (g.outputs.nonEmpty) {
-          val pass = OutputPass(plan.tree, g.outputs)
-          val agg = groupingSets(frame, pass.sets.zipWithIndex.map { case (set, i) =>
-            set.keys -> set.sums.zipWithIndex.map { case (t, j) =>
-              sumName(i, j) -> product(t.localFactors, t.childRefs.map(_.aggName))
-            }
-          })
-          queryResults ++= decode(spark, pass, agg.schema, agg.collect())
+          // Multi-output pass: all queries of the group are one aggregate job
+          // over its grouping sets, collected once and decoded on the driver.
+          if (g.outputs.nonEmpty) {
+            val pass = OutputPass(plan.tree, g.outputs)
+            val agg = groupingSets(frame, pass.sets.zipWithIndex.map { case (set, i) =>
+              set.keys -> set.sums.zipWithIndex.map { case (t, j) =>
+                sumName(i, j) -> product(t.localFactors, t.childRefs.map(partial(inlined)))
+              }
+            })
+            queryResults ++= decode(spark, pass, agg.schema, agg.collect())
+          }
         }
       }
     } catch {
       case e: Throwable =>
-        unpersistComputed(viewFrames)
+        aggregated.values.foreach(_.unpersist())
         throw e
     }
 
-    Result(queryResults.toMap, viewFrames.toMap, groups, plan)
+    new Result(queryResults.toMap, groups, plan, aggregated.toMap, tables)
   }
+
+  /** `acc`, a frame at `node`, joined with each of `incoming` in turn, and
+    * the column of each aggregate of the projection views it inlines. An
+    * aggregated view is joined as its cached frame, and its aggregates are
+    * its columns. A projection view V_{R→to} is inlined: R's relation is
+    * joined on the edge's join keys, and R's own incoming views are folded
+    * in after it; each aggregate of V is then the product that defines it,
+    * over the frame's columns. Every join is sided by the sizes of R and
+    * `node`.
+    */
+  private def fold(plan: Plan, tables: Map[String, DataFrame], aggregated: collection.Map[ViewId, DataFrame],
+                   node: String)(acc: DataFrame, incoming: Seq[ViewId]): (DataFrame, Map[String, Column]) =
+    incoming.foldLeft((acc, Map.empty[String, Column])) { case ((acc, inlined), vid) =>
+      val projection = isProjection(plan.tree, vid)
+      val (other, keys) =
+        if (projection) (relation(plan.tree, tables, vid.from), plan.tree.joinKeys(vid.from, vid.to))
+        else (aggregated(vid), (acc.columns.toSet intersect vid.keys.toSet).toSeq.sorted)
+      require(keys.nonEmpty, s"no join keys between the $node frame and ${vid.label}")
+      val joined = joinSide(plan.tree, vid.from, node) match {
+        case BroadcastSide => acc.join(broadcast(other), keys, "inner")
+        case BroadcastFrame => broadcast(acc).join(other, keys, "inner")
+        case Shuffle => acc.join(other, keys, "inner")
+      }
+      if (!projection) (joined, inlined)
+      else {
+        val v = plan.viewById(vid)
+        val (frame, below) = fold(plan, tables, aggregated, node)(joined, v.incoming)
+        (frame, inlined ++ sums(v, below))
+      }
+    }
+
+  /** Relation `name`'s attributes, coalesced to one partition per
+    * `ProjectionPartitionRows` of its size (one without a size).
+    */
+  private def relation(tree: JoinTree, tables: Map[String, DataFrame], name: String): DataFrame = {
+    val rows = tree.sizeOf(name)
+    tables(name).select(tree.relationByName(name).attrs.map(col): _*)
+      .coalesce(((rows + ProjectionPartitionRows - 1) / ProjectionPartitionRows).max(1L).toInt)
+  }
+
+  /** A view's sums: each aggregate's product of its local factors and the
+    * partials it reads, an inlined view's by its product.
+    */
+  private def sums(v: MergedView, inlined: Map[String, Column]): Seq[(String, Column)] =
+    v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(partial(inlined))))
+
+  /** The partial `ref` names: its product if its view is inlined, else its
+    * view's column.
+    */
+  private def partial(inlined: Map[String, Column])(ref: AggRef): Column =
+    inlined.getOrElse(ref.aggName, col(ref.aggName))
 
   /** The column of set i's j-th sum in an output pass's job. */
   private def sumName(i: Int, j: Int): String = s"lmfao_s${i}_$j"
@@ -205,39 +267,65 @@ object LmfaoExec {
     }
   }
 
-  /** Which side of a group's join with an incoming view is broadcast. */
-  private sealed abstract class JoinSide(val label: String)
-  private case object BroadcastView extends JoinSide("broadcast view")
-  private case object BroadcastFrame extends JoinSide("broadcast frame")
-  private case object Shuffle extends JoinSide("shuffle")
-
-  /** The smaller side by `JoinTree.sizes`; both are shuffled when the sizes
-    * are equal or either is missing.
+  /** Which side of a join in a group's fold is broadcast: the joined
+    * relation or view, the group's frame, or neither.
     */
-  private def joinSide(tree: JoinTree, vid: ViewId, node: String): JoinSide =
-    (tree.sizes.get(vid.from), tree.sizes.get(node)) match {
-      case (Some(from), Some(n)) if from < n => BroadcastView
-      case (Some(from), Some(n)) if n < from => BroadcastFrame
+  private sealed abstract class JoinSide {
+    def label(joined: String): String = this match {
+      case BroadcastSide => s"broadcast $joined"
+      case BroadcastFrame => "broadcast frame"
+      case Shuffle => "shuffle"
+    }
+  }
+  private case object BroadcastSide extends JoinSide
+  private case object BroadcastFrame extends JoinSide
+  private case object Shuffle extends JoinSide
+
+  /** The smaller of relation `from` and the frame at `node` by
+    * `JoinTree.sizes`; both are shuffled when the sizes are equal or either
+    * is missing.
+    */
+  private def joinSide(tree: JoinTree, from: String, node: String): JoinSide =
+    (tree.sizes.get(from), tree.sizes.get(node)) match {
+      case (Some(f), Some(n)) if f < n => BroadcastSide
+      case (Some(f), Some(n)) if n < f => BroadcastFrame
       case _ => Shuffle
     }
 
-  /** The plan as [[run]] executes it, one line per group in run order: its
-    * incoming views, the join side each is broadcast on and the group that
-    * produces it (by `DependencyGraph.edges`); each view and its sums; and
-    * for an output group its pass: the cube's keys U, their hint product
-    * against the bound, the folded and the exploded group-by sets, and the
-    * sum columns before and after dedup.
+  /** The plan as [[run]] executes it, one line per group in run order.
+    * A group that runs lists the groups whose cached views it reads, and
+    * every join of its fold in fold order with the side it broadcasts: each
+    * aggregated view, and for each inlined projection view the relation it
+    * joins. A group of projections only is marked as inlined into the
+    * groups whose frames join its relation. Each line then gives the
+    * group's views and their sums, and for an output group its pass: the
+    * cube's keys U, their hint product against the bound, the folded and the
+    * exploded group-by sets, and the sum columns before and after dedup.
     */
   def explain(plan: Plan): String = {
     val groups = DependencyGraph.groups(plan)
-    val producer = DependencyGraph.edges(groups).groupMap(_._2)(_._1)
+    val producer = groups.zipWithIndex.flatMap { case (g, i) => g.produced.map(_ -> i) }.toMap
+    def runs(g: ViewGroup) = g.outputs.nonEmpty || g.views.exists(v => !isProjection(plan.tree, v.id))
+    // The views a group's fold joins, in fold order.
+    def joined(incoming: Seq[ViewId]): Seq[ViewId] = incoming.flatMap { vid =>
+      vid +: (if (isProjection(plan.tree, vid)) joined(plan.viewById(vid).incoming) else Nil)
+    }
+    val folds = groups.map(g => if (runs(g)) joined(g.incoming) else Nil)
     def set(keys: Seq[String]) = keys.mkString("(", ",", ")")
     groups.zipWithIndex.map { case (g, i) =>
-      val sources = producer.getOrElse(g, Nil).map(groups.indexOf).sorted
-      val joins = g.incoming.map(v => s"${v.label} ${joinSide(plan.tree, v, g.node).label}").mkString(", ")
-      val head = s"#$i ${g.direction.fold(s"${g.node} outputs")(d => s"${g.node}->$d")}" +
-        (if (sources.isEmpty) "" else sources.mkString(" after #", ", #", "")) +
-        (if (joins.isEmpty) "" else s"; joins $joins")
+      val name = s"#$i ${g.direction.fold(s"${g.node} outputs")(d => s"${g.node}->$d")}"
+      val head =
+        if (!runs(g)) folds.indices.filter(j => folds(j).exists(g.produced.contains)).mkString(s"$name inlined into #", ", #", "")
+        else {
+          val sources = folds(i).filterNot(isProjection(plan.tree, _)).map(producer).distinct.sorted
+          val joins = folds(i).map { vid =>
+            val side = joinSide(plan.tree, vid.from, g.node)
+            if (isProjection(plan.tree, vid)) s"${vid.from} for ${vid.label} ${side.label("relation")}"
+            else s"${vid.label} ${side.label("view")}"
+          }
+          name + (if (sources.isEmpty) "" else sources.mkString(" after #", ", #", "")) +
+            (if (joins.isEmpty) "" else joins.mkString("; joins ", ", ", ""))
+        }
       val views = g.views.map { v =>
         s"; ${v.id.label} ${if (isProjection(plan.tree, v.id)) "projection" else "aggregate"} of ${v.aggs.size} sums"
       }
@@ -254,8 +342,8 @@ object LmfaoExec {
     }.mkString("\n")
   }
 
-  /** Whether view `id` is computed as a projection of its group's frame:
-    * its keys include its source relation's declared key.
+  /** Whether view `id` is a projection, inlined into the frames that read
+    * it: its keys include its source relation's declared key.
     */
   def isProjection(tree: JoinTree, id: ViewId): Boolean = {
     val key = tree.relationByName(id.from).key

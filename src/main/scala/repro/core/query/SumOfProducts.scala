@@ -9,11 +9,11 @@ import org.apache.spark.sql.functions.{array, col, explode, lit, sum, when}
   */
 object SumOfProducts {
 
-  /** Π factor × Π partial, where each partial names an aggregate column of an
+  /** Π factor × Π partial, where each partial is an aggregate of an
     * incoming view. No factors and no partials is the constant 1 (COUNT(*)).
     */
-  def product(factors: Seq[Factor], partials: Seq[String] = Nil): Column =
-    (factors.map(_.column) ++ partials.map(col)).foldLeft(lit(1.0))(_ * _)
+  def product(factors: Seq[Factor], partials: Seq[Column] = Nil): Column =
+    (factors.map(_.column) ++ partials).foldLeft(lit(1.0))(_ * _)
 
   /** One aggregate pass: `SELECT keys…, SUM(p) AS name, … FROM frame GROUP BY
     * keys…`. Empty `keys` is a global aggregate (one row, NULL sums on empty

@@ -17,7 +17,13 @@ import repro.util.{Table, Timing}
   *
   * Each method runs once to warm up and then `Reps` times, the methods taking
   * turns in every round, all in one session; a row reports the median and
-  * the range of the timed runs.
+  * the range of the timed runs. Before each run, outside its timing, a GC
+  * lets Spark's cleaner delete the shuffle files of the frames that earlier
+  * runs dropped (Spark's own periodic GC comes every 30 minutes), and
+  * PerQuery builds and collects one query at a time, so that a finished
+  * query's frame and its shuffle files can go while the next query runs:
+  * the shuffle files of PerQuery batches at SF 0.1 outgrow a disk with
+  * 1.5 GB free.
   */
 object T2BatchRuntime {
 
@@ -26,7 +32,7 @@ object T2BatchRuntime {
 
   /** @param seconds the timed runs' wall-clock seconds, in run order */
   final case class Row(dataset: String, method: String, queries: Int, seconds: Seq[Double]) {
-    def median: Double = seconds.sorted.apply(seconds.size / 2)
+    def median: Double = Timing.median(seconds)
   }
 
   def measure(ds: Workloads.Dataset, queries: Seq[AggQuery]): Seq[Row] = {
@@ -41,10 +47,10 @@ object T2BatchRuntime {
         try results.values.foreach(_.collect()) finally d.unpersist()
       },
       "PerQuery" -> { () =>
-        Baselines.runPerQuery(ds.tree, ds.tables, queries).values.foreach(_.collect())
+        queries.foreach(q => Baselines.runPerQuery(ds.tree, ds.tables, Seq(q)).values.foreach(_.collect()))
       },
     )
-    val rounds = (0 to Reps).map(_ => methods.map { case (_, body) => Timing.timed(body())._2 })
+    val rounds = (0 to Reps).map(_ => methods.map { case (_, body) => System.gc(); Timing.timed(body())._2 })
     methods.indices.map { m =>
       Row(ds.name, methods(m)._1, queries.size, rounds.drop(1).map(_(m)))
     }

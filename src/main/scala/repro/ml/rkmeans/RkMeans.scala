@@ -1,7 +1,7 @@
 package repro.ml.rkmeans
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.broadcast
+import org.apache.spark.sql.functions.{col, when}
 
 import repro.core.exec.LmfaoExec
 import repro.core.query.{AggQuery, LocalRow, Measure}
@@ -15,8 +15,9 @@ import repro.core.viewgen.ViewGeneration
   *           run as ONE LMFAO batch (they share every count view);
   *   Step 2  weighted 1-d k-means per projection → assignment relations A_j;
   *   Step 3  grid coreset: GROUP BY C1..Cn SUM(1) over D ⋈ A_1 ⋈ … ⋈ A_n,
-  *           realised by pushing each tiny A_j into the owner relation of X_j
-  *           and running the coreset query through the engine;
+  *           realised by adding each A_j to the owner relation of X_j as a
+  *           column expression and running the coreset query through the
+  *           engine;
   *   Step 4  weighted k-means on the coreset grid.
   */
 object RkMeans {
@@ -69,8 +70,8 @@ object RkMeans {
       a -> projections(a).map { case (v, _) => v -> perDim(a).assign(Array(v.toDouble)).toLong }.toMap
     }.toMap
 
-    // Step 3: push each A_j into the owner relation of X_j, then one grid query.
-    val (gridTree, gridTables) = augment(spark, tree, tables, dims, assignments)
+    // Step 3: add each A_j to the owner relation of X_j, then one grid query.
+    val (gridTree, gridTables) = augment(tree, tables, dims, assignments)
     val grid = coresetQuery(dims)
     val gridRes = LmfaoExec.run(gridTables, ViewGeneration.plan(gridTree, Seq(grid)))
     val gridRows =
@@ -96,24 +97,36 @@ object RkMeans {
   }
 
   /** Extend the owner relation of each dimension with its centroid-assignment
-    * column c_dim (a tiny value→cluster join), returning the augmented tree
-    * and tables. The join tree shape is unchanged, so the running intersection
-    * property is preserved; each row keeps at most one assignment, so every
-    * declared key still holds and is kept. The tree keeps its domain hints
-    * and hints each c_dim by the number of clusters its assignment uses, at
-    * most `kPerDim`.
+    * column c_dim, returning the augmented tree and tables. The column is one
+    * `CASE WHEN dim <= hi THEN cluster …` over the assignment's values in
+    * order, one branch per run of values with the same cluster, `hi` the
+    * run's last value: exact on every value the assignment maps, and NULL
+    * above the last one. Rk-means maps every value of π_dim(D), and no other
+    * value of the owner relation reaches D, so the grid is the one over the
+    * inner join with the assignment relation, with no join and no table to
+    * ship.
+    * The join tree shape is unchanged, so the running intersection property
+    * is preserved; no row is added, so every declared key still holds and is
+    * kept. The tree keeps its domain hints and hints each c_dim by the
+    * number of clusters its assignment uses, at most `kPerDim`.
     */
-  def augment(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
+  def augment(tree: JoinTree, tables: Map[String, DataFrame],
               dims: Seq[String], assignments: Map[String, Map[Long, Long]])
       : (JoinTree, Map[String, DataFrame]) = {
-    import spark.implicits._
     var newTables = tables
     var newRelations = tree.relations
     dims.foreach { a =>
+      require(assignments(a).nonEmpty, s"no values to assign for dimension $a")
       val owner = tree.owner(a)
-      // At most one row per distinct value of a: always the broadcast side.
-      val adf = broadcast(assignments(a).toSeq.toDF(a, s"c_$a"))
-      newTables = newTables.updated(owner, newTables(owner).join(adf, Seq(a), "inner"))
+      val runs = assignments(a).toSeq.sortBy(_._1).foldLeft(List.empty[(Long, Long)]) {
+        case ((_, c) :: rest, (v, cluster)) if c == cluster => (v, c) :: rest
+        case (acc, run) => run :: acc
+      }.reverse
+      val dim = col(a)
+      val cluster = runs.tail.foldLeft(when(dim <= runs.head._1, runs.head._2)) {
+        case (cases, (hi, c)) => cases.when(dim <= hi, c)
+      }
+      newTables = newTables.updated(owner, newTables(owner).withColumn(s"c_$a", cluster))
       newRelations = newRelations.map { r =>
         if (r.name == owner) r.copy(attrs = r.attrs :+ s"c_$a") else r
       }

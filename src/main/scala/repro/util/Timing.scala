@@ -9,6 +9,18 @@ object Timing {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
+  /** One untimed warm-up run of `f`, then `reps` timed runs: the last
+    * run's result and the timed runs' seconds, in run order.
+    */
+  def warm[A](reps: Int)(f: => A): (A, Seq[Double]) = {
+    f
+    val runs = (1 to reps).map(_ => timed(f))
+    (runs.last._1, runs.map(_._2))
+  }
+
+  /** The middle of the sorted seconds; the upper middle of an even count. */
+  def median(seconds: Seq[Double]): Double = seconds.sorted.apply(seconds.size / 2)
+
   def fmt(s: Double): String = f"$s%.2f"
 }
 

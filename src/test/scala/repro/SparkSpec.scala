@@ -12,7 +12,7 @@ import org.scalatest.funsuite.AnyFunSuite
   * static plans as the jobs and the benchmark: adaptive execution and
   * auto-broadcast stay off, shuffles have one partition per core, and every
   * broadcast join is an explicit hint in the program (the smaller side of
-  * each join in `LmfaoExec`, assignment relations in `RkMeans`).
+  * each join in `LmfaoExec`).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -1,6 +1,13 @@
 package repro
 
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.apache.spark.sql.functions.lit
 
 import repro.core.exec.LmfaoExec
@@ -104,6 +111,61 @@ object TestData {
     (tree, Map("S" -> sRows.toDF("k1", "k2", "x"), "D1" -> d1Rows.toDF("k1", "u"), "D2" -> d2Rows.toDF("k2", "v")))
   }
 
+  /** Keyed chain of depth 3 into the fact F: F(a,b) — B(b,c) key b —
+    * C(c,d) key c — E(d,e) key d. The keys hold, and every edge has dangling
+    * tuples on both sides: b ∈ {7, 8} in F and b = 9 in B, c = 1 in B and
+    * c = 8 in C, d = 1 in C and d = 7 in E find no partner.
+    */
+  def deepChain(spark: SparkSession, n: Int = 60, seed: Int = 21): (JoinTree, Map[String, DataFrame]) = {
+    import spark.implicits._
+    val rng = new scala.util.Random(seed)
+    val fRows = Seq.fill(n)((rng.nextInt(9) + 1L, rng.nextInt(8) + 1L))          // (a, b), b in 1..8
+    val bRows = ((1L to 6L) :+ 9L).map(b => (b, if (b == 1) 1L else rng.nextInt(7) + 1L)) // (b, c), c in 1..7
+    val cRows = (2L to 8L).map(c => (c, if (c == 2) 1L else rng.nextInt(6) + 1L))      // (c, d), d in 1..6
+    val eRows = (2L to 7L).map(d => (d, rng.nextInt(9) + 1L))                   // (d, e)
+    val tree = JoinTree(
+      Seq(
+        Relation("F", Seq("a", "b")),
+        Relation("B", Seq("b", "c"), key = Seq("b")),
+        Relation("C", Seq("c", "d"), key = Seq("c")),
+        Relation("E", Seq("d", "e"), key = Seq("d")),
+      ),
+      Seq(("F", "B"), ("B", "C"), ("C", "E")),
+      sizes = Map("F" -> n.toLong, "B" -> 7L, "C" -> 7L, "E" -> 6L),
+    )
+    (tree, Map("F" -> fRows.toDF("a", "b"), "B" -> bRows.toDF("b", "c"), "C" -> cRows.toDF("c", "d"),
+      "E" -> eRows.toDF("d", "e")))
+  }
+
+  /** Snowflake with two keyed levels on each arm: S(k1,k2,x) — D1(k1,u)
+    * key k1 — E1(u,w) key u, and S — D2(k2,v) key k2 — E2(v,y) key v. The
+    * keys hold, and every edge has dangling tuples on both sides: k1 = 6 in
+    * S and 7 in D1, u = 1 in D1 and 6 in E1, k2 = 5 in S and 6 in D2, v = 4
+    * in D2 and 5 in E2.
+    */
+  def snowflake(spark: SparkSession, n: Int = 80, seed: Int = 22): (JoinTree, Map[String, DataFrame]) = {
+    import spark.implicits._
+    val rng = new scala.util.Random(seed)
+    val sRows = Seq.fill(n)((rng.nextInt(6) + 1L, rng.nextInt(5) + 1L, rng.nextInt(20) + 1L))
+    val d1Rows = Seq(1L, 2L, 3L, 4L, 5L, 7L).map(k => (k, if (k == 1) 1L else rng.nextInt(5) + 1L)) // u in 1..5
+    val e1Rows = (2L to 6L).map(u => (u, rng.nextInt(9) + 1L))
+    val d2Rows = Seq(1L, 2L, 3L, 4L, 6L).map(k => (k, if (k == 1) 4L else rng.nextInt(4) + 1L)) // v in 1..4
+    val e2Rows = Seq(1L, 2L, 3L, 5L).map(v => (v, rng.nextInt(9) + 1L))
+    val tree = JoinTree(
+      Seq(
+        Relation("S", Seq("k1", "k2", "x")),
+        Relation("D1", Seq("k1", "u"), key = Seq("k1")),
+        Relation("E1", Seq("u", "w"), key = Seq("u")),
+        Relation("D2", Seq("k2", "v"), key = Seq("k2")),
+        Relation("E2", Seq("v", "y"), key = Seq("v")),
+      ),
+      Seq(("S", "D1"), ("D1", "E1"), ("S", "D2"), ("D2", "E2")),
+      sizes = Map("S" -> n.toLong, "D1" -> 6L, "E1" -> 5L, "D2" -> 5L, "E2" -> 4L),
+    )
+    (tree, Map("S" -> sRows.toDF("k1", "k2", "x"), "D1" -> d1Rows.toDF("k1", "u"), "E1" -> e1Rows.toDF("u", "w"),
+      "D2" -> d2Rows.toDF("k2", "v"), "E2" -> e2Rows.toDF("v", "y")))
+  }
+
   /** A single-relation "tree" R(g, x, y). */
   def single(spark: SparkSession, n: Int = 50, seed: Int = 3): (JoinTree, Map[String, DataFrame]) = {
     import spark.implicits._
@@ -148,6 +210,32 @@ object Check {
         s"SELECT COUNT(*) = COUNT(DISTINCT concat_ws('|', ${r.key.mkString(", ")})) AS key_holds FROM ${r.name}",
         r.name -> tables(r.name))
     }
+
+  /** The executed plans of the frames that `body` collects, once `ready`
+    * holds of them: an output pass is collected straight from its plan, and
+    * listeners are called on the listener bus, after the action returns.
+    */
+  def collectedPlans(spark: SparkSession)(body: => Unit)(ready: Seq[SparkPlan] => Boolean): Seq[SparkPlan] = {
+    val plans = new ConcurrentLinkedQueue[SparkPlan]()
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        if (funcName == "collect") plans.add(qe.executedPlan)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      body
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!ready(plans.asScala.toSeq) && System.nanoTime() < deadline) Thread.sleep(10)
+      plans.asScala.toSeq
+    } finally spark.listenerManager.unregister(listener)
+  }
+
+  /** The broadcasts of a physical plan that sit inside another broadcast's
+    * input: Spark must finish each before it can start the one above it.
+    */
+  def nestedBroadcasts(plan: SparkPlan): Seq[SparkPlan] =
+    plan.collect { case b: BroadcastExchangeExec => b }.flatMap(_.child.collect { case b: BroadcastExchangeExec => b })
 
   def lmfaoVsDuck(tree: JoinTree, tables: Map[String, DataFrame], queries: Seq[AggQuery],
                   roots: Map[String, String] = Map.empty): Unit = {

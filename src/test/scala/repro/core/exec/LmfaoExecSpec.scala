@@ -10,14 +10,13 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.catalyst.optimizer.{BuildLeft, BuildRight}
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
-import org.apache.spark.sql.execution.{GenerateExec, LocalTableScanExec, QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.{GenerateExec, LocalTableScanExec, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions.{col, lit, raise_error, when}
 import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
-import org.apache.spark.sql.util.QueryExecutionListener
 import org.apache.spark.storage.StorageLevel
 
 import repro.{Check, Oracle, SparkSpec, TestData}
@@ -38,6 +37,8 @@ class LmfaoExecSpec extends SparkSpec {
   private lazy val (singleTree, singleTables) = TestData.single(spark)
   private lazy val (keyedChainTree, keyedChainTables) = TestData.keyedChain(spark)
   private lazy val (keyedStarTree, keyedStarTables) = TestData.keyedStar(spark)
+  private lazy val (deepTree, deepTables) = TestData.deepChain(spark)
+  private lazy val (snowTree, snowTables) = TestData.snowflake(spark)
 
   private def q(name: String, groupBy: Seq[String], measures: Seq[Measure],
                 conds: Seq[Predicate] = Nil) = TestData.where(AggQuery(name, groupBy, measures), conds: _*)
@@ -84,35 +85,15 @@ class LmfaoExecSpec extends SparkSpec {
 
   /** Whether the one output pass that `body` collects copies its frame. */
   private def explodes(body: => Unit): Boolean = {
-    val Seq(pass) = collectedPlans(body)(_.nonEmpty)
+    val Seq(pass) = Check.collectedPlans(spark)(body)(_.nonEmpty)
     pass.exists(_.isInstanceOf[GenerateExec])
-  }
-
-  /** The executed plans of the passes that `body` collects, once `ready`
-    * holds of them: an output pass is collected straight from its plan, and
-    * listeners are called on the listener bus, after the action returns.
-    */
-  private def collectedPlans(body: => Unit)(ready: Seq[SparkPlan] => Boolean): Seq[SparkPlan] = {
-    val plans = new ConcurrentLinkedQueue[SparkPlan]()
-    val listener = new QueryExecutionListener {
-      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        if (funcName == "collect") plans.add(qe.executedPlan)
-      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
-    }
-    spark.listenerManager.register(listener)
-    try {
-      body
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!ready(plans.asScala.toSeq) && System.nanoTime() < deadline) Thread.sleep(10)
-      plans.asScala.toSeq
-    } finally spark.listenerManager.unregister(listener)
   }
 
   /** Join kinds and keys, sorted, of the one collected pass that joins,
     * among the queries that `body` executes.
     */
   private def passJoins(body: => Unit): Seq[(String, String)] = {
-    val Seq(joins) = collectedPlans(body)(_.exists(joinKeys(_).nonEmpty)).map(joinKeys).filter(_.nonEmpty)
+    val Seq(joins) = Check.collectedPlans(spark)(body)(_.exists(joinKeys(_).nonEmpty)).map(joinKeys).filter(_.nonEmpty)
     joins.sorted
   }
 
@@ -369,7 +350,7 @@ class LmfaoExecSpec extends SparkSpec {
     val plan = ViewGeneration.plan(keyedStarTree, batch)
     assert(DependencyGraph.groups(plan).filter(_.outputs.nonEmpty).map(_.node) == Seq("S"))
     var plans = Seq.empty[SparkPlan]
-    val jobs = jobsOf { plans = collectedPlans(LmfaoExec.run(keyedStarTables, plan).cleanup())(_.nonEmpty) }
+    val jobs = jobsOf { plans = Check.collectedPlans(spark)(LmfaoExec.run(keyedStarTables, plan).cleanup())(_.nonEmpty) }
     val Seq(executed) = plans
     assert(executed.find(_.isInstanceOf[AdaptiveSparkPlanExec]).isEmpty, executed)
     val broadcasts = executed.collect { case b: BroadcastExchangeExec => b }.size
@@ -482,6 +463,65 @@ class LmfaoExecSpec extends SparkSpec {
     val groups = DependencyGraph.groups(plan)
     assert(DependencyGraph.edges(groups).map { case (p, c) => (groups.indexOf(p), groups.indexOf(c)) }.toSet ==
       Set((0, 2), (1, 2)))
+    // Rooted at D1, the snowflake's S->D1 aggregate inlines D2 and E2 into
+    // S's frame, and D1's output group inlines E1 and reads that aggregate.
+    val snowPlan = ViewGeneration.plan(snowTree, Seq(q("byW", Seq("w"), Seq(Measure.sum("s", "y")))), Map("byW" -> "D1"))
+    assert(LmfaoExec.explain(snowPlan).split("\n").toSeq == Seq(
+      "#0 E2->D2 inlined into #2; V_E2_to_D2(v) projection of 1 sums",
+      "#1 D2->S inlined into #2; V_D2_to_S(k2) projection of 1 sums",
+      "#2 S->D1; joins D2 for V_D2_to_S(k2) broadcast relation, E2 for V_E2_to_D2(v) broadcast relation; " +
+        "V_S_to_D1(k1) aggregate of 1 sums",
+      "#3 E1->D1 inlined into #4; V_E1_to_D1(u,w) projection of 1 sums",
+      "#4 D1 outputs after #2; joins V_S_to_D1(k1) broadcast frame, E1 for V_E1_to_D1(u,w) broadcast relation; " +
+        "1 queries: no cube; explodes (w); sums 1 -> 1",
+    ))
+  }
+
+  test("keyed chains of depth 3 and snowflakes inline every level into one frame and match DuckDB") {
+    val chainBatch = Seq(
+      q("all", Nil, Seq(Measure.count("n"), Measure.sumProduct("p", "a", "e"))),
+      q("byE", Seq("e"), Seq(Measure.sum("s", "a"))),
+      q("byCD", Seq("c", "d"), Seq(Measure.sumSquare("s2", "e"), Measure.count("n"))),
+      q("byB", Seq("b"), Seq(Measure.sumProduct("p", "c", "d")), Seq(Predicate("e", CmpOp.Le, 5))))
+    val snowBatch = Seq(
+      q("all", Nil, Seq(Measure.count("n"), Measure.sumProduct("p", "w", "y"))),
+      q("byW", Seq("w"), Seq(Measure.sum("s", "x"))),
+      q("byUV", Seq("u", "v"), Seq(Measure.sumProduct("p", "x", "y"))),
+      q("byY", Seq("y"), Seq(Measure.count("n")), Seq(Predicate("w", CmpOp.Gt, 3))))
+    // A second row for key value 3 of a relation in the middle of an arm.
+    val (deepBroken, snowBroken) = (
+      deepTables.updated("C", deepTables("C").union(spark.range(1).select(lit(3L).as("c"), lit(2L).as("d")))),
+      snowTables.updated("D1", snowTables("D1").union(spark.range(1).select(lit(3L).as("k1"), lit(4L).as("u")))))
+    for ((tree, tables, broken, batch) <- Seq(
+        (deepTree, deepTables, deepBroken, chainBatch), (snowTree, snowTables, snowBroken, snowBatch))) {
+      val fact = tree.relations.head.name
+      withClue(s"$fact: ") {
+        // Every edge has dangling tuples on both sides.
+        tree.edges.foreach { case (l, r) =>
+          for ((x, y) <- Seq((l, r), (r, l)))
+            assert(tables(x).join(tables(y), tree.joinKeys(x, y), "left_anti").count() > 0, s"$x against $y")
+        }
+        Check.keysHold(tree, tables)
+        assertThrows[IllegalArgumentException](Check.keysHold(tree, broken))
+        // At the engine's roots, the batch is one output group at the fact
+        // over projections only, every relation is inlined into its frame,
+        // and no broadcast waits for another.
+        val plan = ViewGeneration.plan(tree, batch)
+        assert(plan.roots.values.toSet == Set(fact) && plan.views.forall(v => LmfaoExec.isProjection(tree, v.id)))
+        val Seq(executed) = Check.collectedPlans(spark)(LmfaoExec.run(tables, plan).cleanup())(_.nonEmpty)
+        assert(executed.collect { case b: BroadcastExchangeExec => b }.size == tree.relations.size - 1, executed)
+        assert(Check.nestedBroadcasts(executed).isEmpty, executed)
+        // Query i pinned to relation i + 1: dimension roots, aggregated views
+        // from the fact, and chains inlined towards either end.
+        val pinned = batch.zipWithIndex.map { case (query, i) =>
+          query.name -> tree.relations((i + 1) % tree.relations.size).name }.toMap
+        for {
+          data <- Seq(tables, broken)
+          sized <- Seq(tree, tree.copy(sizes = Map.empty))
+          roots <- Seq(Map.empty[String, String], pinned)
+        } Check.lmfaoVsDuck(sized, data, batch, roots)
+      }
+    }
   }
 
   test("answers do not depend on the join strategy") {

@@ -22,11 +22,28 @@ class RkMeansSpec extends SparkSpec {
     val assignments = Map(
       "x" -> (1L to 20L).map(v => v -> (v % 3)).toMap,
       "u" -> (1L to 10L).map(v => v -> (v % 2)).toMap)
-    val (t2, tabs2) = RkMeans.augment(spark, tree, tables, dims, assignments)
+    val (t2, tabs2) = RkMeans.augment(tree, tables, dims, assignments)
     assert(t2.edges == tree.edges)
     assert(t2.relationByName("S").attrs.contains("c_x"))
     assert(t2.relationByName("D1").attrs.contains("c_u"))
     assert(tabs2("S").columns.contains("c_x"))
+  }
+
+  test("c_dim equals the model's assignment on every projected value") {
+    val xs = tables("S").select("x").distinct().collect().map(_.getLong(0)).toSeq
+    assert(Seq(4L, 8L).forall(xs.contains))
+    // Ids 0, 1 and 2 sit at 10, 2 and 6, out of value order, and values 4
+    // and 8 are midpoints, where `assign` takes the first nearest id: 1 at
+    // 4 and 0 at 8. The runs are 1..4 -> 1, 5..7 -> 2 and 8.. -> 0. One
+    // centroid is one run.
+    for (centroids <- Seq(Seq(10.0, 2.0, 6.0), Seq(5.0))) withClue(s"centroids $centroids: ") {
+      val model = WeightedKMeans.Model(centroids.map(Array(_)).toArray, 0.0, 0)
+      if (centroids.size == 3) assert(model.assign(Array(4.0)) == 1 && model.assign(Array(8.0)) == 0)
+      val assignment = xs.map(v => v -> model.assign(Array(v.toDouble)).toLong).toMap
+      val (_, augmented) = RkMeans.augment(tree, tables, Seq("x"), Map("x" -> assignment))
+      val assigned = augmented("S").select("x", "c_x").distinct().collect().map(r => r.getLong(0) -> r.getLong(1))
+      assert(assigned.toMap == assignment && assigned.length == xs.size)
+    }
   }
 
   test("coreset weights sum to |D|") {
@@ -108,7 +125,7 @@ class RkMeansSpec extends SparkSpec {
     val assignments = dims.map { a =>
       a -> tables(tree.owner(a)).select(a).distinct().collect().map(_.getLong(0)).map(v => v -> v % 3).toMap
     }.toMap
-    val (gridTree, gridTables) = RkMeans.augment(spark, tree, tables, dims, assignments)
+    val (gridTree, gridTables) = RkMeans.augment(tree, tables, dims, assignments)
     Check.lmfaoVsDuck(gridTree, gridTables, Seq(RkMeans.coresetQuery(dims)))
   }
 }
