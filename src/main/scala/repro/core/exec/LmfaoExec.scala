@@ -117,11 +117,9 @@ object LmfaoExec {
       * first read; a run builds none.
       */
     lazy val viewFrames: Map[ViewId, DataFrame] = plan.views.map { v =>
-      v.id -> aggregated.getOrElse(v.id, {
-        val (frame, inlined) =
-          fold(plan, tables, aggregated, v.id.from)(relation(plan.tree, tables, v.id.from), v.incoming)
-        frame.select(v.id.keys.map(col) ++ sums(v, inlined).map { case (name, c) => c.as(name) }: _*)
-      })
+      v.id -> aggregated.getOrElse(v.id,
+        fold(plan, tables, aggregated)(relation(plan.tree, tables, v.id.from), joins(plan, v.id.from, v.incoming))
+          .select(v.id.keys.map(col) ++ sums(plan, v).map { case (name, c) => c.as(name) }: _*))
     }.toMap
 
     /** Unpersist every view this run cached. */
@@ -152,25 +150,22 @@ object LmfaoExec {
     // once, and the views cached so far are unpersisted. A group of
     // projections only builds nothing: its consumers inline it.
     try {
-      groups.foreach { g =>
-        val computed = g.views.filterNot(v => isProjection(plan.tree, v.id))
-        if (computed.nonEmpty || g.outputs.nonEmpty) {
-          val (frame, inlined) = fold(plan, tables, aggregated, g.node)(tables(g.node), g.incoming)
-          computed.foreach { v =>
-            aggregated(v.id) = groupedSum(frame, v.id.keys, sums(v, inlined)).persist(StorageLevel.MEMORY_AND_DISK)
-          }
+      groups.filter(runs(plan)).foreach { g =>
+        val frame = fold(plan, tables, aggregated)(tables(g.node), joins(plan, g.node, g.incoming))
+        g.views.filterNot(v => isProjection(plan.tree, v.id)).foreach { v =>
+          aggregated(v.id) = groupedSum(frame, v.id.keys, sums(plan, v)).persist(StorageLevel.MEMORY_AND_DISK)
+        }
 
-          // Multi-output pass: all queries of the group are one aggregate job
-          // over its grouping sets, collected once and decoded on the driver.
-          if (g.outputs.nonEmpty) {
-            val pass = OutputPass(plan.tree, g.outputs)
-            val agg = groupingSets(frame, pass.sets.zipWithIndex.map { case (set, i) =>
-              set.keys -> set.sums.zipWithIndex.map { case (t, j) =>
-                sumName(i, j) -> product(t.localFactors, t.childRefs.map(partial(inlined)))
-              }
-            })
-            queryResults ++= decode(spark, pass, agg.schema, agg.collect())
-          }
+        // Multi-output pass: all queries of the group are one aggregate job
+        // over its grouping sets, collected once and decoded on the driver.
+        if (g.outputs.nonEmpty) {
+          val pass = OutputPass(plan.tree, g.outputs)
+          val agg = groupingSets(frame, pass.sets.zipWithIndex.map { case (set, i) =>
+            set.keys -> set.sums.zipWithIndex.map { case (t, j) =>
+              sumName(i, j) -> product(t.localFactors, t.childRefs.map(partial(plan)))
+            }
+          })
+          queryResults ++= decode(spark, pass, agg.schema, agg.collect())
         }
       }
     } catch {
@@ -182,33 +177,43 @@ object LmfaoExec {
     new Result(queryResults.toMap, groups, plan, aggregated.toMap, tables)
   }
 
-  /** `acc`, a frame at `node`, joined with each of `incoming` in turn, and
-    * the column of each aggregate of the projection views it inlines. An
-    * aggregated view is joined as its cached frame, and its aggregates are
-    * its columns. A projection view V_{R→to} is inlined: R's relation is
-    * joined on the edge's join keys, and R's own incoming views are folded
-    * in after it; each aggregate of V is then the product that defines it,
-    * over the frame's columns. Every join is sided by the sizes of R and
-    * `node`.
+  /** Whether group `g` runs anything: it has outputs or an aggregated view.
+    * A group of projections only is inlined into the frames that read it.
     */
-  private def fold(plan: Plan, tables: Map[String, DataFrame], aggregated: collection.Map[ViewId, DataFrame],
-                   node: String)(acc: DataFrame, incoming: Seq[ViewId]): (DataFrame, Map[String, Column]) =
-    incoming.foldLeft((acc, Map.empty[String, Column])) { case ((acc, inlined), vid) =>
-      val projection = isProjection(plan.tree, vid)
+  private def runs(plan: Plan)(g: ViewGroup): Boolean =
+    g.outputs.nonEmpty || g.views.exists(v => !isProjection(plan.tree, v.id))
+
+  /** One join of a fold: `view` joined as its cached frame or, when
+    * `inlined`, as its source relation, with `side` broadcast.
+    */
+  private final case class Join(view: ViewId, inlined: Boolean, side: JoinSide)
+
+  /** The joins of a frame at `node` that reads `incoming`, in fold order.
+    * An aggregated view is one join. A projection view V_{R→to} is inlined:
+    * R's relation is joined, and then the joins of R's own incoming views.
+    * Every join is sided by the sizes of R and `node`.
+    */
+  private def joins(plan: Plan, node: String, incoming: Seq[ViewId]): Seq[Join] = incoming.flatMap { vid =>
+    val inlined = isProjection(plan.tree, vid)
+    Join(vid, inlined, joinSide(plan.tree, vid.from, node)) +:
+      (if (inlined) joins(plan, node, plan.viewById(vid).incoming) else Nil)
+  }
+
+  /** `acc` joined with each of `js` in turn: an aggregated view's cached
+    * frame on the keys it shares with the frame, an inlined relation on its
+    * edge's join keys.
+    */
+  private def fold(plan: Plan, tables: Map[String, DataFrame], aggregated: collection.Map[ViewId, DataFrame])(
+      acc: DataFrame, js: Seq[Join]): DataFrame =
+    js.foldLeft(acc) { (acc, j) =>
       val (other, keys) =
-        if (projection) (relation(plan.tree, tables, vid.from), plan.tree.joinKeys(vid.from, vid.to))
-        else (aggregated(vid), (acc.columns.toSet intersect vid.keys.toSet).toSeq.sorted)
-      require(keys.nonEmpty, s"no join keys between the $node frame and ${vid.label}")
-      val joined = joinSide(plan.tree, vid.from, node) match {
+        if (j.inlined) (relation(plan.tree, tables, j.view.from), plan.tree.joinKeys(j.view.from, j.view.to))
+        else (aggregated(j.view), (acc.columns.toSet intersect j.view.keys.toSet).toSeq.sorted)
+      require(keys.nonEmpty, s"no join keys between the frame and ${j.view.label}")
+      j.side match {
         case BroadcastSide => acc.join(broadcast(other), keys, "inner")
         case BroadcastFrame => broadcast(acc).join(other, keys, "inner")
         case Shuffle => acc.join(other, keys, "inner")
-      }
-      if (!projection) (joined, inlined)
-      else {
-        val v = plan.viewById(vid)
-        val (frame, below) = fold(plan, tables, aggregated, node)(joined, v.incoming)
-        (frame, inlined ++ sums(v, below))
       }
     }
 
@@ -222,16 +227,21 @@ object LmfaoExec {
   }
 
   /** A view's sums: each aggregate's product of its local factors and the
-    * partials it reads, an inlined view's by its product.
+    * partials it reads.
     */
-  private def sums(v: MergedView, inlined: Map[String, Column]): Seq[(String, Column)] =
-    v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(partial(inlined))))
+  private def sums(plan: Plan, v: MergedView): Seq[(String, Column)] =
+    v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(partial(plan))))
 
-  /** The partial `ref` names: its product if its view is inlined, else its
-    * view's column.
+  /** The partial `ref` names: its view's column, or, when the view is a
+    * projection and so inlined into the frame, the product that defines it
+    * over the frame's columns.
     */
-  private def partial(inlined: Map[String, Column])(ref: AggRef): Column =
-    inlined.getOrElse(ref.aggName, col(ref.aggName))
+  private def partial(plan: Plan)(ref: AggRef): Column =
+    if (!isProjection(plan.tree, ref.view)) col(ref.aggName)
+    else {
+      val a = plan.viewById(ref.view).aggs.find(_.name == ref.aggName).get
+      product(a.localFactors, a.childRefs.map(partial(plan)))
+    }
 
   /** The column of set i's j-th sum in an output pass's job. */
   private def sumName(i: Int, j: Int): String = s"lmfao_s${i}_$j"
@@ -305,26 +315,22 @@ object LmfaoExec {
   def explain(plan: Plan): String = {
     val groups = DependencyGraph.groups(plan)
     val producer = groups.zipWithIndex.flatMap { case (g, i) => g.produced.map(_ -> i) }.toMap
-    def runs(g: ViewGroup) = g.outputs.nonEmpty || g.views.exists(v => !isProjection(plan.tree, v.id))
-    // The views a group's fold joins, in fold order.
-    def joined(incoming: Seq[ViewId]): Seq[ViewId] = incoming.flatMap { vid =>
-      vid +: (if (isProjection(plan.tree, vid)) joined(plan.viewById(vid).incoming) else Nil)
-    }
-    val folds = groups.map(g => if (runs(g)) joined(g.incoming) else Nil)
+    val folds = groups.map(g => if (runs(plan)(g)) joins(plan, g.node, g.incoming) else Nil)
     def set(keys: Seq[String]) = keys.mkString("(", ",", ")")
     groups.zipWithIndex.map { case (g, i) =>
       val name = s"#$i ${g.direction.fold(s"${g.node} outputs")(d => s"${g.node}->$d")}"
       val head =
-        if (!runs(g)) folds.indices.filter(j => folds(j).exists(g.produced.contains)).mkString(s"$name inlined into #", ", #", "")
+        if (!runs(plan)(g))
+          folds.indices.filter(k => folds(k).exists(j => g.produced.contains(j.view)))
+            .mkString(s"$name inlined into #", ", #", "")
         else {
-          val sources = folds(i).filterNot(isProjection(plan.tree, _)).map(producer).distinct.sorted
-          val joins = folds(i).map { vid =>
-            val side = joinSide(plan.tree, vid.from, g.node)
-            if (isProjection(plan.tree, vid)) s"${vid.from} for ${vid.label} ${side.label("relation")}"
-            else s"${vid.label} ${side.label("view")}"
+          val sources = folds(i).filterNot(_.inlined).map(j => producer(j.view)).distinct.sorted
+          val joined = folds(i).map { j =>
+            if (j.inlined) s"${j.view.from} for ${j.view.label} ${j.side.label("relation")}"
+            else s"${j.view.label} ${j.side.label("view")}"
           }
           name + (if (sources.isEmpty) "" else sources.mkString(" after #", ", #", "")) +
-            (if (joins.isEmpty) "" else joins.mkString("; joins ", ", ", ""))
+            (if (joined.isEmpty) "" else joined.mkString("; joins ", ", ", ""))
         }
       val views = g.views.map { v =>
         s"; ${v.id.label} ${if (isProjection(plan.tree, v.id)) "projection" else "aggregate"} of ${v.aggs.size} sums"

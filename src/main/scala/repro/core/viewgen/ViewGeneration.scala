@@ -41,12 +41,13 @@ final case class Plan(
     views: Seq[MergedView],
     outputs: Seq[QueryOutput],
 ) {
-  def viewById: Map[ViewId, MergedView] = views.map(v => v.id -> v).toMap
+  val viewById: Map[ViewId, MergedView] = views.map(v => v.id -> v).toMap
 
-  /** The outputs by output group: those with the same root and incoming
-    * views share one join frame and one output pass.
+  /** The outputs by output group, in order of each group's first query:
+    * those with the same root and incoming views share one join frame and
+    * one output pass.
     */
-  def outputGroups: Seq[Seq[QueryOutput]] = outputs.groupBy(o => (o.root, o.incoming.toSet)).values.toSeq
+  def outputGroups: Seq[Seq[QueryOutput]] = Plan.inOrder(outputs)(o => (o.root, o.incoming.toSet))
 
   def stats(nGroups: Int): SharingStats = SharingStats(
     nQueries = queries.size,
@@ -57,6 +58,16 @@ final case class Plan(
     nGroups = nGroups,
     nOutputSums = outputGroups.map(OutputPass(tree, _).sums).sum,
   )
+}
+
+object Plan {
+  /** `xs` grouped by `key`, the groups in order of their first element and
+    * each in the order of `xs`.
+    */
+  private[core] def inOrder[A, K](xs: Seq[A])(key: A => K): Seq[Seq[A]] = {
+    val byKey = xs.groupBy(key)
+    xs.map(key).distinct.map(byKey)
+  }
 }
 
 /** The View Generation layer: decomposes every query of the batch into one

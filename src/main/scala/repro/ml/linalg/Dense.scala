@@ -76,11 +76,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) {
 
 object DenseMatrix {
   def zeros(rows: Int, cols: Int): DenseMatrix = new DenseMatrix(rows, cols, new Array[Double](rows * cols))
-  def identity(n: Int): DenseMatrix = {
-    val m = zeros(n, n)
-    (0 until n).foreach(i => m(i, i) = 1.0)
-    m
-  }
 }
 
 /** Small vector helpers shared by the ML modules. */
@@ -95,9 +90,7 @@ object Vec {
     require(x.length == y.length, "dimension mismatch")
     Array.tabulate(x.length)(i => alpha * x(i) + y(i))
   }
-  def scale(alpha: Double, x: Array[Double]): Array[Double] = x.map(_ * alpha)
   def norm2(x: Array[Double]): Double = math.sqrt(dot(x, x))
-  def sub(a: Array[Double], b: Array[Double]): Array[Double] = axpy(-1.0, b, a)
   def sqDist(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0; var i = 0
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }

@@ -14,8 +14,6 @@ import repro.ml.linalg.Vec
   */
 object GradientBaseline {
 
-  final case class Fit(theta: Array[Double], objective: Seq[Double], iterations: Int)
-
   /** One pass over D computing the residual moments for the gradient.
     * Returns (N, Σ r·x_j for each feature including intercept, Σ r²).
     */
@@ -56,7 +54,7 @@ object GradientBaseline {
     * so we only re-probe on failure).
     */
   def train(d: DataFrame, continuous: Seq[String], label: String, lambda: Double,
-            iterations: Int, step0: Option[Double] = None): Fit = {
+            iterations: Int, step0: Option[Double] = None): LinearRegression.Fit = {
     var theta = new Array[Double](continuous.size + 1)
     var step = step0.getOrElse(autoStep(d, continuous))
     var lastObj = Double.MaxValue
@@ -74,6 +72,6 @@ object GradientBaseline {
       theta = Vec.axpy(-step, g, theta)
       it += 1
     }
-    Fit(theta, objs.toSeq, it)
+    LinearRegression.Fit(theta, objs.toSeq, it)
   }
 }

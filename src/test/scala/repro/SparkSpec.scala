@@ -6,13 +6,13 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The session comes from `JobRunner.builder`, so tests run the same
-  * static plans as the jobs and the benchmark: adaptive execution and
-  * auto-broadcast stay off, shuffles have one partition per core, and every
-  * broadcast join is an explicit hint in the program (the smaller side of
-  * each join in `LmfaoExec`).
+  * Driver heap is set via ``Test / javaOptions`` in build.sbt: the
+  * SPARK_DRIVER_MEM environment variable when it is set, else half of
+  * physical memory, clamped to 2-8 GB. The session comes from
+  * `JobRunner.builder`, so tests run the same static plans as the jobs and
+  * the benchmark: adaptive execution and auto-broadcast stay off, shuffles
+  * have one partition per core, and every broadcast join is an explicit
+  * hint in the program (the smaller side of each join in `LmfaoExec`).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -25,11 +25,11 @@ object SparkSpec {
     val s = repro.jobs.JobRunner.builder("repro").getOrCreate()
     // Keep test/bench output readable: task-level INFO noise off.
     s.sparkContext.setLogLevel("WARN")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target), and the plan
+    // One line in test output that gives the driver's heap and the plan
     // settings every result of the run came from.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
+      s"maxHeap=${Runtime.getRuntime.maxMemory >> 20}m " +
       s"master=${s.sparkContext.master} " +
       s"defaultParallelism=${s.sparkContext.defaultParallelism} " +
       s"adaptive=${s.conf.get("spark.sql.adaptive.enabled")} " +

@@ -11,10 +11,9 @@ import org.apache.spark.sql.util.QueryExecutionListener
 import org.apache.spark.sql.functions.lit
 
 import repro.core.exec.LmfaoExec
-import repro.core.group.DependencyGraph
 import repro.core.query.{AggQuery, Predicate, SqlRender}
 import repro.core.schema.{JoinTree, Relation}
-import repro.core.viewgen.{Plan, ViewGeneration}
+import repro.core.viewgen.{OutputPass, Plan, ViewGeneration}
 
 /** Micro schemas for oracle tests: small enough that every DuckDB round-trip
   * is fast, with duplicate keys and dangling tuples so natural-join
@@ -194,11 +193,10 @@ object TestData {
   * result against DuckDB over the base relations.
   */
 object Check {
-  /** Output grouping sets of a plan: one per distinct group-by list of each
-    * output group (each output group is one pass over its frame).
+  /** Output grouping sets of a plan: the sets of each output group's pass
+    * (each output group is one job over its frame).
     */
-  def outputPasses(plan: Plan): Int =
-    DependencyGraph.groups(plan).map(_.outputs.map(_.query.groupBy).distinct.size).sum
+  def outputPasses(plan: Plan): Int = plan.outputGroups.map(OutputPass(plan.tree, _).sets.size).sum
 
   /** DuckDB confirms every declared key of the tree: no two rows of the
     * relation agree on all of its key attributes.

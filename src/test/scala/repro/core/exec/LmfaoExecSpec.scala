@@ -455,8 +455,8 @@ class LmfaoExecSpec extends SparkSpec {
     val tree = hinted(10, "b" -> 7L, "c" -> 5L)
     val plan = ViewGeneration.plan(tree, byBC, rootBC)
     assert(LmfaoExec.explain(plan).split("\n").toSeq == Seq(
-      "#0 C->B; V_C_to_B(c) aggregate of 3 sums",
-      "#1 A->B; V_A_to_B(b) aggregate of 2 sums",
+      "#0 A->B; V_A_to_B(b) aggregate of 2 sums",
+      "#1 C->B; V_C_to_B(c) aggregate of 3 sums",
       "#2 B outputs after #0, #1; joins V_A_to_B(b) broadcast view, V_C_to_B(c) broadcast view; 5 queries: " +
         "cube (c) hint 5 <= 10 folds () (c); explodes (b) (b,c); sums 9 -> 6",
     ))

@@ -52,6 +52,33 @@ class DependencyGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("groups come in plan order: directional groups by their first view, then outputs by their first query") {
+    val chain = JoinTree(
+      Seq(Relation("A", Seq("a", "b")), Relation("B", Seq("b", "c")), Relation("C", Seq("c", "d"))),
+      Seq(("A", "B"), ("B", "C")))
+    val mixed = Seq(
+      AggQuery("atC", Seq("d"), Seq(Measure.sum("s", "a"))),
+      AggQuery("atA", Seq("a"), Seq(Measure.count("n"))),
+      AggQuery("atC2", Nil, Seq(Measure.count("n"))),
+      AggQuery("atB", Seq("b", "c"), Seq(Measure.sumProduct("p", "a", "d"))))
+    val mixedPlan =
+      ViewGeneration.plan(chain, mixed, Map("atC" -> "C", "atA" -> "A", "atC2" -> "C", "atB" -> "B"))
+    for ((name, plan) <- Seq("demo" -> demoPlan, "mixed roots" -> mixedPlan)) withClue(s"$name: ") {
+      val (directional, outputs) = DependencyGraph.groups(plan).span(_.direction.nonEmpty)
+      assert(outputs.nonEmpty && outputs.forall(_.direction.isEmpty))
+      def increasing(xs: Seq[Int]) = xs.zip(xs.drop(1)).forall { case (x, y) => x < y }
+      val firstViews = directional.map(g => plan.views.indexOf(g.views.head))
+      assert(increasing(firstViews), firstViews)
+      directional.foreach(g => assert(increasing(g.views.map(plan.views.indexOf))))
+      val queryIndex = plan.queries.map(_.name).zipWithIndex.toMap
+      val firstQueries = outputs.map(g => queryIndex(g.outputs.head.query.name))
+      assert(increasing(firstQueries), firstQueries)
+      outputs.foreach(g => assert(increasing(g.outputs.map(o => queryIndex(o.query.name)))))
+    }
+    assert(DependencyGraph.groups(mixedPlan).filter(_.outputs.nonEmpty).map(_.outputs.map(_.query.name)) ==
+      Seq(Seq("atC", "atC2"), Seq("atA"), Seq("atB")))
+  }
+
   test("group members share the same incoming view set") {
     // Construct a case with different key sets on one edge: one query carries
     // a group-by attribute, the other does not.

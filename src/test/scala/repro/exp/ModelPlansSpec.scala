@@ -1,8 +1,10 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.optimizer.{BuildLeft, BuildRight}
 import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
+import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
 
 import repro.{Check, SparkSpec}
 import repro.core.exec.LmfaoExec
@@ -83,6 +85,15 @@ class ModelPlansSpec extends SparkSpec {
       rkMeans("T5 Rk-means", favTree, favTables, Workloads.favoritaRkDims)
   }
 
+  /** Every model batch at SF 0.01 and 0.1, its plan, and the executed
+    * plans of its run.
+    */
+  private lazy val executedBatches = for {
+    sf <- Seq(0.01, 0.1)
+    (name, tree, batch, tables) <- modelBatches(sf)
+    plan = ViewGeneration.plan(tree, batch)
+  } yield (s"$name at SF $sf", plan, Check.collectedPlans(spark)(LmfaoExec.run(tables, plan).cleanup())(_.nonEmpty))
+
   test("the Σ batches fold into a cube; CART's continuous features and wide Rk-means projections stay exploded") {
     for (sf <- Seq(0.01, 0.1)) withClue(s"SF $sf: ") {
       val (fav, ret) = (Favorita.tree(sf), Retailer.tree(sf))
@@ -123,15 +134,27 @@ class ModelPlansSpec extends SparkSpec {
 
   test("every model batch runs its broadcasts side by side, and the grid ships no assignment table") {
     val broken = for {
-      sf <- Seq(0.01, 0.1)
-      (name, tree, batch, tables) <- modelBatches(sf)
-      plan = ViewGeneration.plan(tree, batch)
-      executed <- Check.collectedPlans(spark)(LmfaoExec.run(tables, plan).cleanup())(_.nonEmpty)
+      (name, _, plans) <- executedBatches
+      executed <- plans
       broadcasts = executed.collect { case b: BroadcastExchangeExec => b }
       problem <- Option.when(broadcasts.isEmpty)("no broadcast") ++
         Check.nestedBroadcasts(executed).map(b => s"a broadcast under another: ${b.simpleString(200)}") ++
         broadcasts.flatMap(_.child.collect { case t: LocalTableScanExec => s"a local table under a broadcast: $t" })
-    } yield s"$name at SF $sf: $problem"
+    } yield s"$name: $problem"
+    assert(broken.isEmpty, broken.mkString("\n", "\n", ""))
+  }
+
+  test("explain lists every broadcast join that the model batches' runs execute, with its side") {
+    // Counted by join, not by exchange: two broadcasts with one plan share an
+    // exchange (Oil's and Holidays' dates, when nothing else of them is read).
+    val Broadcast = "broadcast (relation|view|frame)".r
+    val broken = for {
+      (name, plan, plans) <- executedBatches
+      explain = LmfaoExec.explain(plan)
+      listed = Broadcast.findAllMatchIn(explain).map(m => if (m.group(1) == "frame") BuildLeft else BuildRight).toSeq
+      executed = plans.flatMap(_.collect { case j: BroadcastHashJoinExec => j.buildSide })
+      if listed.map(_.toString).sorted != executed.map(_.toString).sorted
+    } yield s"$name: explain lists broadcasts $listed, the run executed $executed\n$explain"
     assert(broken.isEmpty, broken.mkString("\n", "\n", ""))
   }
 }

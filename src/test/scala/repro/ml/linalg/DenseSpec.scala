@@ -12,12 +12,6 @@ class DenseSpec extends AnyFunSuite {
     assert(m.data.forall(_ == 0.0))
   }
 
-  test("identity has ones on the diagonal") {
-    val m = DenseMatrix.identity(3)
-    (0 until 3).foreach(i => (0 until 3).foreach(j =>
-      assert(m(i, j) == (if (i == j) 1.0 else 0.0))))
-  }
-
   test("update and apply round-trip") {
     val m = DenseMatrix.zeros(2, 2)
     m(1, 0) = 5.0
@@ -98,10 +92,5 @@ class DenseSpec extends AnyFunSuite {
 
   test("Vec.sqDist") {
     assert(Vec.sqDist(Array(1.0, 2.0), Array(4.0, 6.0)) == 25.0)
-  }
-
-  test("Vec.scale and Vec.sub") {
-    assert(Vec.scale(3.0, Array(1.0, -2.0)) sameElements Array(3.0, -6.0))
-    assert(Vec.sub(Array(5.0, 5.0), Array(2.0, 7.0)) sameElements Array(3.0, -2.0))
   }
 }
