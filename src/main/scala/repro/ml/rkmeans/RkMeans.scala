@@ -6,18 +6,27 @@ import org.apache.spark.sql.functions.{col, when}
 import repro.core.exec.LmfaoExec
 import repro.core.query.{AggQuery, LocalRow, Measure}
 import repro.core.schema.JoinTree
-import repro.core.viewgen.ViewGeneration
+import repro.core.viewgen.{OutputPass, ViewGeneration}
 
 /** Rk-means over the non-materialised join D (paper §3): a constant-factor
   * k-means approximation via a grid coreset.
   *
   *   Step 1  per-dimension weighted projections — n group-by count queries,
-  *           run as ONE LMFAO batch (they share every count view);
+  *           run as ONE LMFAO batch (they share every count view), with the
+  *           joint counts π_dims(D) (`jointQuery`) as one more query when
+  *           the engine folds its group-by set into the batch's cube
+  *           (`projectionBatch`);
   *   Step 2  weighted 1-d k-means per projection → assignment relations A_j;
   *   Step 3  grid coreset: GROUP BY C1..Cn SUM(1) over D ⋈ A_1 ⋈ … ⋈ A_n,
-  *           realised by adding each A_j to the owner relation of X_j as a
-  *           column expression and running the coreset query through the
-  *           engine;
+  *           computed in one of two ways:
+  *           - when Step 1 returned π_dims(D), rolled up on the driver: each
+  *             joint row (v₁…vₙ, w) adds w to the cell (A₁(v₁)…Aₙ(vₙ))
+  *             (`rollUp`), with no second engine batch;
+  *           - otherwise (the dims' hint product is too large to fold, so
+  *             π_dims(D) may be nearly as large as D), by adding each A_j to
+  *             the owner relation of X_j as a column expression (`augment`)
+  *             and running the coreset query through the engine;
+  *           both sum the same integer counts, so both give the same grid;
   *   Step 4  weighted k-means on the coreset grid.
   */
 object RkMeans {
@@ -34,8 +43,26 @@ object RkMeans {
   def projectionQueries(dims: Seq[String]): Seq[AggQuery] =
     dims.map(a => AggQuery(s"rk_proj_$a", Seq(a), Seq(Measure.count(s"w_$a"))))
 
+  /** π_dims(D) with multiplicities: GROUP BY dims SUM(1). */
+  def jointQuery(dims: Seq[String]): AggQuery = AggQuery("rk_joint", dims, Seq(Measure.count("w_joint")))
+
   def coresetQuery(dims: Seq[String]): AggQuery =
     AggQuery("rk_grid", dims.map(a => s"c_$a"), Seq(Measure.count("w_grid")))
+
+  /** The batch Step 1 runs: the projections, and the joint query when the
+    * engine's fold rule puts its group-by set in the output pass's cube
+    * ([[OutputPass]]). The cube's keys are then exactly the dims, so the
+    * joint query adds no grouping set, no sum column and no job: its rows
+    * are the cube's.
+    */
+  def projectionBatch(tree: JoinTree, dims: Seq[String]): Seq[AggQuery] = {
+    val (projections, joint) = (projectionQueries(dims), jointQuery(dims))
+    val plan = ViewGeneration.plan(tree, projections :+ joint)
+    val folds = plan.outputGroups.exists { outputs =>
+      outputs.exists(_.query.name == joint.name) && OutputPass(tree, outputs).folded.contains(dims.sorted)
+    }
+    if (folds) projections :+ joint else projections
+  }
 
   /** Rows sorted by their keys. k-means++ seeding picks points by index, so
     * every point set is put in this order before it is clustered: the
@@ -51,14 +78,17 @@ object RkMeans {
           dims: Seq[String], k: Int, kPerDim: Int, seed: Long = 42): Result = {
     require(dims.nonEmpty, "need at least one clustering dimension")
 
-    // Step 1: one LMFAO batch for all n projections.
-    val projRes = LmfaoExec.run(tables, ViewGeneration.plan(tree, projectionQueries(dims)))
-    val projections: Map[String, Seq[(Long, Double)]] =
-      try projectionQueries(dims).map { q =>
-        q.groupBy.head -> byKeys(AggQuery.collect(q, projRes.queryResults(q.name)))
-          .map(r => (r.keys.head, r.measures.head))
-      }.toMap
+    // Step 1: one LMFAO batch for all n projections, and π_dims(D) when it folds.
+    val batch = projectionBatch(tree, dims)
+    val projRes = LmfaoExec.run(tables, ViewGeneration.plan(tree, batch))
+    val rows: Map[String, Seq[LocalRow]] =
+      try batch.map(q => q.name -> byKeys(AggQuery.collect(q, projRes.queryResults(q.name)))).toMap
       finally projRes.cleanup()
+    val projections: Map[String, Seq[(Long, Double)]] = projectionQueries(dims).map { q =>
+      val a = q.groupBy.head
+      require(rows(q.name).nonEmpty, s"the projection of D on dimension $a is empty: the join has no rows")
+      a -> rows(q.name).map(r => (r.keys.head, r.measures.head))
+    }.toMap
 
     // Step 2: weighted 1-d k-means per dimension → assignment maps.
     val perDim: Map[String, WeightedKMeans.Model] = dims.map { a =>
@@ -70,13 +100,17 @@ object RkMeans {
       a -> projections(a).map { case (v, _) => v -> perDim(a).assign(Array(v.toDouble)).toLong }.toMap
     }.toMap
 
-    // Step 3: add each A_j to the owner relation of X_j, then one grid query.
-    val (gridTree, gridTables) = augment(tree, tables, dims, assignments)
-    val grid = coresetQuery(dims)
-    val gridRes = LmfaoExec.run(gridTables, ViewGeneration.plan(gridTree, Seq(grid)))
-    val gridRows =
-      try byKeys(AggQuery.collect(grid, gridRes.queryResults(grid.name)))
-      finally gridRes.cleanup()
+    // Step 3: roll π_dims(D) up to the grid, or add each A_j to the owner
+    // relation of X_j and run one grid query.
+    val gridRows = rows.get(jointQuery(dims).name) match {
+      case Some(joint) => rollUp(joint, dims, assignments)
+      case None =>
+        val (gridTree, gridTables) = augment(tree, tables, dims, assignments)
+        val grid = coresetQuery(dims)
+        val gridRes = LmfaoExec.run(gridTables, ViewGeneration.plan(gridTree, Seq(grid)))
+        try byKeys(AggQuery.collect(grid, gridRes.queryResults(grid.name)))
+        finally gridRes.cleanup()
+    }
     val gridPoints = gridRows.map { r =>
       dims.zip(r.keys).map { case (a, c) => perDim(a).centroids(c.toInt)(0) }.toArray
     }.toArray
@@ -94,6 +128,16 @@ object RkMeans {
       perDimCentroids = dims.map(a => a -> perDim(a).centroids.map(_(0))).toMap,
       coresetCost = finalModel.cost,
     )
+  }
+
+  /** The grid coreset from π_dims(D): each joint row (v₁…vₙ, w), keyed in
+    * `dims` order, adds w to the cell (A₁(v₁)…Aₙ(vₙ)). The cells are the
+    * rows of `coresetQuery(dims)`, in key order.
+    */
+  def rollUp(joint: Seq[LocalRow], dims: Seq[String], assignments: Map[String, Map[Long, Long]]): Seq[LocalRow] = {
+    val as = dims.map(assignments)
+    val cells = joint.groupMapReduce(r => as.zip(r.keys).map { case (m, v) => m(v) })(_.measures.head)(_ + _)
+    byKeys(cells.map { case (cell, w) => LocalRow(cell, Seq(w)) }.toSeq)
   }
 
   /** Extend the owner relation of each dimension with its centroid-assignment
@@ -143,7 +187,7 @@ object RkMeans {
     */
   def fullProjection(tree: JoinTree, tables: Map[String, DataFrame],
                      dims: Seq[String]): (Array[Array[Double]], Array[Double]) = {
-    val q = AggQuery("rk_full", dims, Seq(Measure.count("w_full")))
+    val q = jointQuery(dims)
     val res = LmfaoExec.run(tables, ViewGeneration.plan(tree, Seq(q)))
     val rows = try byKeys(AggQuery.collect(q, res.queryResults(q.name))) finally res.cleanup()
     (rows.map(_.keys.map(_.toDouble).toArray).toArray, rows.map(_.measures.head).toArray)

@@ -1,6 +1,6 @@
 package repro
 
-import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 
 import scala.jdk.CollectionConverters._
 
@@ -209,22 +209,25 @@ object Check {
         r.name -> tables(r.name))
     }
 
-  /** The executed plans of the frames that `body` collects, once `ready`
-    * holds of them: an output pass is collected straight from its plan, and
-    * listeners are called on the listener bus, after the action returns.
+  /** The executed plans of the frames that `body` collects, in order.
+    * Listeners are called on the listener bus, after the action returns and
+    * in the order of the actions; so once a marker action that the engine
+    * never runs (`collectAsList`) has been reported, every collect of `body`
+    * has been.
     */
-  def collectedPlans(spark: SparkSession)(body: => Unit)(ready: Seq[SparkPlan] => Boolean): Seq[SparkPlan] = {
+  def collectedPlans(spark: SparkSession)(body: => Unit): Seq[SparkPlan] = {
     val plans = new ConcurrentLinkedQueue[SparkPlan]()
+    val flushed = new CountDownLatch(1)
     val listener = new QueryExecutionListener {
       override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        if (funcName == "collect") plans.add(qe.executedPlan)
+        if (funcName == "collect") plans.add(qe.executedPlan) else if (funcName == "collectAsList") flushed.countDown()
       override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
     }
     spark.listenerManager.register(listener)
     try {
       body
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!ready(plans.asScala.toSeq) && System.nanoTime() < deadline) Thread.sleep(10)
+      spark.range(1).collectAsList()
+      assert(flushed.await(30, TimeUnit.SECONDS), "the marker action was never reported")
       plans.asScala.toSeq
     } finally spark.listenerManager.unregister(listener)
   }

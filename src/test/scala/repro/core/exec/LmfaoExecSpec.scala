@@ -85,7 +85,7 @@ class LmfaoExecSpec extends SparkSpec {
 
   /** Whether the one output pass that `body` collects copies its frame. */
   private def explodes(body: => Unit): Boolean = {
-    val Seq(pass) = Check.collectedPlans(spark)(body)(_.nonEmpty)
+    val Seq(pass) = Check.collectedPlans(spark)(body)
     pass.exists(_.isInstanceOf[GenerateExec])
   }
 
@@ -93,7 +93,7 @@ class LmfaoExecSpec extends SparkSpec {
     * among the queries that `body` executes.
     */
   private def passJoins(body: => Unit): Seq[(String, String)] = {
-    val Seq(joins) = Check.collectedPlans(spark)(body)(_.exists(joinKeys(_).nonEmpty)).map(joinKeys).filter(_.nonEmpty)
+    val Seq(joins) = Check.collectedPlans(spark)(body).map(joinKeys).filter(_.nonEmpty)
     joins.sorted
   }
 
@@ -349,9 +349,8 @@ class LmfaoExecSpec extends SparkSpec {
     val batch = SigmaBatch.queries(Features("x", Seq("u"), Seq("v")))
     val plan = ViewGeneration.plan(keyedStarTree, batch)
     assert(DependencyGraph.groups(plan).filter(_.outputs.nonEmpty).map(_.node) == Seq("S"))
-    var plans = Seq.empty[SparkPlan]
-    val jobs = jobsOf { plans = Check.collectedPlans(spark)(LmfaoExec.run(keyedStarTables, plan).cleanup())(_.nonEmpty) }
-    val Seq(executed) = plans
+    var jobs = Seq.empty[Option[Properties]]
+    val Seq(executed) = Check.collectedPlans(spark) { jobs = jobsOf(LmfaoExec.run(keyedStarTables, plan).cleanup()) }
     assert(executed.find(_.isInstanceOf[AdaptiveSparkPlanExec]).isEmpty, executed)
     val broadcasts = executed.collect { case b: BroadcastExchangeExec => b }.size
     assert(broadcasts == 2, executed)
@@ -508,7 +507,7 @@ class LmfaoExecSpec extends SparkSpec {
         // and no broadcast waits for another.
         val plan = ViewGeneration.plan(tree, batch)
         assert(plan.roots.values.toSet == Set(fact) && plan.views.forall(v => LmfaoExec.isProjection(tree, v.id)))
-        val Seq(executed) = Check.collectedPlans(spark)(LmfaoExec.run(tables, plan).cleanup())(_.nonEmpty)
+        val Seq(executed) = Check.collectedPlans(spark)(LmfaoExec.run(tables, plan).cleanup())
         assert(executed.collect { case b: BroadcastExchangeExec => b }.size == tree.relations.size - 1, executed)
         assert(Check.nestedBroadcasts(executed).isEmpty, executed)
         // Query i pinned to relation i + 1: dimension roots, aggregated views

@@ -34,14 +34,18 @@ class ModelPlansSpec extends SparkSpec {
       NodeBatch.queries(features, label, conds).map(q => q.copy(name = s"n${i}_${q.name}"))
     }
 
-  /** Rk-means' Step-1 batch over `tables` and its Step-3 grid batch over
-    * the tree and tables that `RkMeans.augment` builds from them.
+  /** The batches `RkMeans.run` runs: Step 1's `projectionBatch` over
+    * `tables`, and, when Step 1 does not fold the joint query, the Step-3
+    * grid batch over the tree and tables that `RkMeans.augment` builds from
+    * them.
     */
   private def rkMeans(name: String, tree: JoinTree, tables: Map[String, DataFrame], dims: Seq[String]) = {
-    val assignments = dims.map(a => a -> Map(1L -> 0L, 2L -> 1L, 3L -> 0L)).toMap
-    val (gridTree, gridTables) = RkMeans.augment(tree, tables, dims, assignments)
-    Seq((s"$name projections", tree, RkMeans.projectionQueries(dims), tables),
-      (s"$name grid", gridTree, Seq(RkMeans.coresetQuery(dims)), gridTables))
+    val step1 = RkMeans.projectionBatch(tree, dims)
+    (s"$name projections", tree, step1, tables) +: Option.when(!step1.contains(RkMeans.jointQuery(dims))) {
+      val assignments = dims.map(a => a -> Map(1L -> 0L, 2L -> 1L, 3L -> 0L)).toMap
+      val (gridTree, gridTables) = RkMeans.augment(tree, tables, dims, assignments)
+      (s"$name grid", gridTree, Seq(RkMeans.coresetQuery(dims)), gridTables)
+    }.toSeq
   }
 
   /** Favorita's and Retailer's tables at SF 0.001. Each join's side and
@@ -92,7 +96,7 @@ class ModelPlansSpec extends SparkSpec {
     sf <- Seq(0.01, 0.1)
     (name, tree, batch, tables) <- modelBatches(sf)
     plan = ViewGeneration.plan(tree, batch)
-  } yield (s"$name at SF $sf", plan, Check.collectedPlans(spark)(LmfaoExec.run(tables, plan).cleanup())(_.nonEmpty))
+  } yield (s"$name at SF $sf", plan, Check.collectedPlans(spark)(LmfaoExec.run(tables, plan).cleanup()))
 
   test("the Σ batches fold into a cube; CART's continuous features and wide Rk-means projections stay exploded") {
     for (sf <- Seq(0.01, 0.1)) withClue(s"SF $sf: ") {
@@ -114,6 +118,23 @@ class ModelPlansSpec extends SparkSpec {
       }
       val (rk, _) = pass(fav, RkMeans.projectionQueries(Workloads.favoritaRkDims))
       assert(rk.exploded.contains(Seq("txns")), rk)
+    }
+  }
+
+  test("Rk-means runs one batch when Step 1 folds π_dims(D) into its cube, and two when it does not") {
+    for (sf <- Seq(0.01, 0.1)) withClue(s"SF $sf: ") {
+      val fav = Favorita.tree(sf)
+      def step1(dims: Seq[String]) = {
+        val Seq(outputs) = ViewGeneration.plan(fav, RkMeans.projectionBatch(fav, dims)).outputGroups
+        OutputPass(fav, outputs)
+      }
+      val batches = modelBatches(sf).map(_._1)
+      assert(batches.filter(_.startsWith("perfbench favorita-rkmeans")) == Seq("perfbench favorita-rkmeans projections"))
+      val txns = step1(Seq("txns"))
+      assert(txns.exploded.isEmpty && txns.sets.map(_.keys) == Seq(Seq("txns")), txns)
+      assert(batches.filter(_.startsWith("T5 Rk-means")) == Seq("T5 Rk-means projections", "T5 Rk-means grid"))
+      val t5 = step1(Workloads.favoritaRkDims)
+      assert(t5.exploded.contains(Seq("txns")), t5)
     }
   }
 

@@ -1,12 +1,36 @@
 package repro.ml.rkmeans
 
-import repro.{Check, SparkSpec, TestData}
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
+
+import repro.{Check, Oracle, SparkSpec, TestData}
 import repro.core.baseline.Baselines
+import repro.core.query.{LocalRow, SqlRender}
+import repro.core.schema.JoinTree
+import repro.data.Favorita
+import repro.exp.Workloads
 
 class RkMeansSpec extends SparkSpec {
 
   private lazy val (tree, tables) = TestData.star(spark, n = 150)
   private val dims = Seq("x", "u")
+
+  /** Favorita at SF 0.01, where the output pass's cube bound is 6,000. */
+  private lazy val (favTree, favTables) = (Favorita.tree(0.01), Favorita.tables(spark, 0.01))
+
+  /** Every field of a result, with arrays compared by their elements. */
+  private def fields(r: RkMeans.Result) = (r.centroids.map(_.toSeq).toSeq, r.dims, r.coresetSize, r.datasetSize,
+    r.perDimCentroids.map { case (a, cs) => a -> cs.toSeq }, r.coresetCost)
+
+  /** `RkMeans.run`'s result and the number of SQL collects it ran. */
+  private def runCounted(tree: JoinTree, dims: Seq[String]): (RkMeans.Result, Int) = {
+    var r: RkMeans.Result = null
+    val collects = Check.collectedPlans(spark) { r = RkMeans.run(spark, tree, favTables, dims, k = 4, kPerDim = 5) }
+    (r, collects.size)
+  }
 
   test("projection queries are n group-by counts") {
     val qs = RkMeans.projectionQueries(dims)
@@ -104,9 +128,6 @@ class RkMeansSpec extends SparkSpec {
   test("the result does not depend on the number of shuffle partitions") {
     val key = "spark.sql.shuffle.partitions"
     val setting = spark.conf.get(key)
-    // Every field, with arrays compared by their elements.
-    def fields(r: RkMeans.Result) = (r.centroids.map(_.toSeq).toSeq, r.dims, r.coresetSize, r.datasetSize,
-      r.perDimCentroids.map { case (a, cs) => a -> cs.toSeq }, r.coresetCost)
     def runWith(partitions: Int) = {
       spark.conf.set(key, partitions.toLong)
       fields(RkMeans.run(spark, tree, tables, dims, k = 3, kPerDim = 4))
@@ -127,5 +148,61 @@ class RkMeansSpec extends SparkSpec {
     }.toMap
     val (gridTree, gridTables) = RkMeans.augment(tree, tables, dims, assignments)
     Check.lmfaoVsDuck(gridTree, gridTables, Seq(RkMeans.coresetQuery(dims)))
+  }
+
+  test("Step 1 adds the joint query exactly when the engine folds it into the cube") {
+    def joint(tree: JoinTree, dims: Seq[String]) =
+      RkMeans.projectionBatch(tree, dims).contains(RkMeans.jointQuery(dims))
+    // Hint products 2,000 and 4,000 fit the bound of 6,000; units × txns ×
+    // oilprize is 8,000,000.
+    assert(joint(favTree, Seq("txns")) && joint(favTree, Seq("units", "oilprize")))
+    assert(!joint(favTree, Workloads.favoritaRkDims))
+    assert(!joint(favTree.copy(domains = Map.empty), Seq("txns")))
+    assert(RkMeans.projectionBatch(favTree, Workloads.favoritaRkDims) == RkMeans.projectionQueries(Workloads.favoritaRkDims))
+  }
+
+  test("the grid rolled up from Step 1 gives the result of the grid batch, in one SQL action instead of two") {
+    for (dims <- Seq(Seq("txns"), Seq("units", "oilprize"))) withClue(s"dims $dims: ") {
+      val (folded, foldedActions) = runCounted(favTree, dims)
+      val (unfolded, unfoldedActions) = runCounted(favTree.copy(domains = Map.empty), dims)
+      assert(foldedActions == 1 && unfoldedActions == 2)
+      assert(fields(folded) == fields(unfolded))
+    }
+  }
+
+  test("the rolled-up grid matches DuckDB's grid query on the tree augmented with the model's assignments") {
+    for (dims <- Seq(Seq("txns"), Seq("units", "oilprize"))) withClue(s"dims $dims: ") {
+      val (k, kPerDim) = (4, 5)
+      val r = RkMeans.run(spark, favTree, favTables, dims, k = k, kPerDim = kPerDim)
+      val (pts, ws) = RkMeans.fullProjection(favTree, favTables, dims)
+      val joint = pts.zip(ws).map { case (p, w) => LocalRow(p.map(_.toLong).toSeq, Seq(w)) }.toSeq
+      val assignments = dims.zipWithIndex.map { case (a, i) =>
+        val model = WeightedKMeans.Model(r.perDimCentroids(a).map(Array(_)), 0.0, 0)
+        a -> pts.map(p => p(i).toLong -> model.assign(Array(p(i))).toLong).toMap
+      }.toMap
+      val grid = RkMeans.rollUp(joint, dims, assignments)
+      // The model's own grid: Step 4 over it gives the model's centroids.
+      val gridPoints = grid.map(g => dims.zip(g.keys).map { case (a, c) => r.perDimCentroids(a)(c.toInt) }.toArray)
+      val step4 = WeightedKMeans.fit(gridPoints.toArray, grid.map(_.measures.head).toArray, k, seed = 42)
+      assert(grid.size == r.coresetSize && grid.map(_.measures.head).sum == r.datasetSize)
+      assert(step4.centroids.map(_.toSeq).toSeq == r.centroids.map(_.toSeq).toSeq)
+
+      val q = RkMeans.coresetQuery(dims)
+      val (gridTree, gridTables) = RkMeans.augment(favTree, favTables, dims, assignments)
+      val schema = StructType(q.groupBy.map(StructField(_, LongType)) :+ StructField(q.measures.head.name, DoubleType))
+      val rolledUp = spark.createDataFrame(grid.map(g => Row.fromSeq(g.keys ++ g.measures)).asJava, schema)
+      Oracle.assertEquivalent(rolledUp, SqlRender.querySql(gridTree, q), gridTables.toSeq: _*)
+    }
+  }
+
+  test("an empty join fails before Step 2, naming the dimension whose projection is empty") {
+    // S's k1 values are 1..5; shifted D1 keys match none of them. A filter
+    // that keeps no S row empties D too.
+    val dangling = tables.updated("D1", tables("D1").withColumn("k1", col("k1") + 100))
+    val filtered = tables.updated("S", tables("S").filter(col("x") < 0))
+    for ((name, ts) <- Seq("dangling keys" -> dangling, "a filter" -> filtered)) withClue(s"$name: ") {
+      val e = intercept[IllegalArgumentException](RkMeans.run(spark, tree, ts, dims, k = 3, kPerDim = 3))
+      assert(e.getMessage.contains("projection of D on dimension x is empty"), e.getMessage)
+    }
   }
 }
