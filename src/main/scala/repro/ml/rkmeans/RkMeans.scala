@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions.{col, when}
 import repro.core.exec.LmfaoExec
 import repro.core.query.{AggQuery, LocalRow, Measure}
 import repro.core.schema.JoinTree
-import repro.core.viewgen.{OutputPass, ViewGeneration}
+import repro.core.viewgen.{OutputPass, Plan, ViewGeneration}
 
 /** Rk-means over the non-materialised join D (paper §3): a constant-factor
   * k-means approximation via a grid coreset.
@@ -15,17 +15,21 @@ import repro.core.viewgen.{OutputPass, ViewGeneration}
   *           run as ONE LMFAO batch (they share every count view), with the
   *           joint counts π_dims(D) (`jointQuery`) as one more query when
   *           the engine folds its group-by set into the batch's cube
-  *           (`projectionBatch`);
+  *           (`projectionPlan`);
   *   Step 2  weighted 1-d k-means per projection → assignment relations A_j;
   *   Step 3  grid coreset: GROUP BY C1..Cn SUM(1) over D ⋈ A_1 ⋈ … ⋈ A_n,
   *           computed in one of two ways:
   *           - when Step 1 returned π_dims(D), rolled up on the driver: each
   *             joint row (v₁…vₙ, w) adds w to the cell (A₁(v₁)…Aₙ(vₙ))
   *             (`rollUp`), with no second engine batch;
-  *           - otherwise (the dims' hint product is too large to fold, so
-  *             π_dims(D) may be nearly as large as D), by adding each A_j to
-  *             the owner relation of X_j as a column expression (`augment`)
-  *             and running the coreset query through the engine;
+  *           - otherwise, by adding each A_j to the owner relation of X_j
+  *             as a column expression (`augment`) and running the coreset
+  *             query through the engine. The dims' hint product is then too
+  *             large to fold, and π_dims(D) may be most of D: for T5's dims
+  *             at SF 0.1 it is 435,125 of D's 600,000 rows, and collecting
+  *             it as a grouping set of its own to roll it up made Rk-means
+  *             3.8 s instead of the grid batch's 1.0 s (medians of 7
+  *             alternating runs, 4 cores);
   *           both sum the same integer counts, so both give the same grid;
   *   Step 4  weighted k-means on the coreset grid.
   */
@@ -49,19 +53,19 @@ object RkMeans {
   def coresetQuery(dims: Seq[String]): AggQuery =
     AggQuery("rk_grid", dims.map(a => s"c_$a"), Seq(Measure.count("w_grid")))
 
-  /** The batch Step 1 runs: the projections, and the joint query when the
+  /** The plan Step 1 runs: the projections, and the joint query when the
     * engine's fold rule puts its group-by set in the output pass's cube
     * ([[OutputPass]]). The cube's keys are then exactly the dims, so the
     * joint query adds no grouping set, no sum column and no job: its rows
     * are the cube's.
     */
-  def projectionBatch(tree: JoinTree, dims: Seq[String]): Seq[AggQuery] = {
+  def projectionPlan(tree: JoinTree, dims: Seq[String]): Plan = {
     val (projections, joint) = (projectionQueries(dims), jointQuery(dims))
-    val plan = ViewGeneration.plan(tree, projections :+ joint)
-    val folds = plan.outputGroups.exists { outputs =>
-      outputs.exists(_.query.name == joint.name) && OutputPass(tree, outputs).folded.contains(dims.sorted)
+    val withJoint = ViewGeneration.plan(tree, projections :+ joint)
+    val folds = withJoint.outputGroups.exists { outputs =>
+      outputs.exists(_.query == joint) && OutputPass(tree, outputs).folded.contains(dims.sorted)
     }
-    if (folds) projections :+ joint else projections
+    if (folds) withJoint else ViewGeneration.plan(tree, projections)
   }
 
   /** Rows sorted by their keys. k-means++ seeding picks points by index, so
@@ -79,10 +83,10 @@ object RkMeans {
     require(dims.nonEmpty, "need at least one clustering dimension")
 
     // Step 1: one LMFAO batch for all n projections, and π_dims(D) when it folds.
-    val batch = projectionBatch(tree, dims)
-    val projRes = LmfaoExec.run(tables, ViewGeneration.plan(tree, batch))
+    val step1 = projectionPlan(tree, dims)
+    val projRes = LmfaoExec.run(tables, step1)
     val rows: Map[String, Seq[LocalRow]] =
-      try batch.map(q => q.name -> byKeys(AggQuery.collect(q, projRes.queryResults(q.name)))).toMap
+      try step1.queries.map(q => q.name -> byKeys(AggQuery.collect(q, projRes.queryResults(q.name)))).toMap
       finally projRes.cleanup()
     val projections: Map[String, Seq[(Long, Double)]] = projectionQueries(dims).map { q =>
       val a = q.groupBy.head

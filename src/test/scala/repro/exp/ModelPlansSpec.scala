@@ -34,13 +34,13 @@ class ModelPlansSpec extends SparkSpec {
       NodeBatch.queries(features, label, conds).map(q => q.copy(name = s"n${i}_${q.name}"))
     }
 
-  /** The batches `RkMeans.run` runs: Step 1's `projectionBatch` over
+  /** The batches `RkMeans.run` runs: Step 1's `projectionPlan` over
     * `tables`, and, when Step 1 does not fold the joint query, the Step-3
     * grid batch over the tree and tables that `RkMeans.augment` builds from
     * them.
     */
   private def rkMeans(name: String, tree: JoinTree, tables: Map[String, DataFrame], dims: Seq[String]) = {
-    val step1 = RkMeans.projectionBatch(tree, dims)
+    val step1 = RkMeans.projectionPlan(tree, dims).queries
     (s"$name projections", tree, step1, tables) +: Option.when(!step1.contains(RkMeans.jointQuery(dims))) {
       val assignments = dims.map(a => a -> Map(1L -> 0L, 2L -> 1L, 3L -> 0L)).toMap
       val (gridTree, gridTables) = RkMeans.augment(tree, tables, dims, assignments)
@@ -124,17 +124,23 @@ class ModelPlansSpec extends SparkSpec {
   test("Rk-means runs one batch when Step 1 folds π_dims(D) into its cube, and two when it does not") {
     for (sf <- Seq(0.01, 0.1)) withClue(s"SF $sf: ") {
       val fav = Favorita.tree(sf)
-      def step1(dims: Seq[String]) = {
-        val Seq(outputs) = ViewGeneration.plan(fav, RkMeans.projectionBatch(fav, dims)).outputGroups
-        OutputPass(fav, outputs)
+      def step1(tree: JoinTree, dims: Seq[String]) = {
+        val plan = RkMeans.projectionPlan(tree, dims)
+        val Seq(outputs) = plan.outputGroups
+        (plan.queries.contains(RkMeans.jointQuery(dims)), OutputPass(tree, outputs))
       }
       val batches = modelBatches(sf).map(_._1)
       assert(batches.filter(_.startsWith("perfbench favorita-rkmeans")) == Seq("perfbench favorita-rkmeans projections"))
-      val txns = step1(Seq("txns"))
-      assert(txns.exploded.isEmpty && txns.sets.map(_.keys) == Seq(Seq("txns")), txns)
+      val (txnsJoint, txns) = step1(fav, Seq("txns"))
+      assert(txnsJoint && txns.exploded.isEmpty && txns.sets.map(_.keys) == Seq(Seq("txns")), txns)
+      // Hint product 4,000, within the bound at both scales.
+      val (unitsOilJoint, unitsOil) = step1(fav, Seq("units", "oilprize"))
+      assert(unitsOilJoint && unitsOil.sets.map(_.keys) == Seq(Seq("oilprize", "units")), unitsOil)
+      // Without hints no set folds.
+      assert(!step1(fav.copy(domains = Map.empty), Seq("txns"))._1)
       assert(batches.filter(_.startsWith("T5 Rk-means")) == Seq("T5 Rk-means projections", "T5 Rk-means grid"))
-      val t5 = step1(Workloads.favoritaRkDims)
-      assert(t5.exploded.contains(Seq("txns")), t5)
+      val (t5Joint, t5) = step1(fav, Workloads.favoritaRkDims)
+      assert(!t5Joint && t5.exploded.contains(Seq("txns")), t5)
     }
   }
 

@@ -11,7 +11,6 @@ import repro.core.baseline.Baselines
 import repro.core.query.{LocalRow, SqlRender}
 import repro.core.schema.JoinTree
 import repro.data.Favorita
-import repro.exp.Workloads
 
 class RkMeansSpec extends SparkSpec {
 
@@ -148,17 +147,6 @@ class RkMeansSpec extends SparkSpec {
     }.toMap
     val (gridTree, gridTables) = RkMeans.augment(tree, tables, dims, assignments)
     Check.lmfaoVsDuck(gridTree, gridTables, Seq(RkMeans.coresetQuery(dims)))
-  }
-
-  test("Step 1 adds the joint query exactly when the engine folds it into the cube") {
-    def joint(tree: JoinTree, dims: Seq[String]) =
-      RkMeans.projectionBatch(tree, dims).contains(RkMeans.jointQuery(dims))
-    // Hint products 2,000 and 4,000 fit the bound of 6,000; units × txns ×
-    // oilprize is 8,000,000.
-    assert(joint(favTree, Seq("txns")) && joint(favTree, Seq("units", "oilprize")))
-    assert(!joint(favTree, Workloads.favoritaRkDims))
-    assert(!joint(favTree.copy(domains = Map.empty), Seq("txns")))
-    assert(RkMeans.projectionBatch(favTree, Workloads.favoritaRkDims) == RkMeans.projectionQueries(Workloads.favoritaRkDims))
   }
 
   test("the grid rolled up from Step 1 gives the result of the grid batch, in one SQL action instead of two") {
