@@ -11,7 +11,7 @@ import org.apache.spark.storage.StorageLevel
 import repro.core.group.{DependencyGraph, ViewGroup}
 import repro.core.query.SumOfProducts.{groupedSum, groupingSets, product, SetColumn}
 import repro.core.schema.JoinTree
-import repro.core.viewgen.{AggRef, MergedView, OutputPass, Plan, ViewId}
+import repro.core.viewgen.{OutputPass, Plan, Term, ViewId}
 
 /** The LMFAO execution layer on Spark.
   *
@@ -119,7 +119,7 @@ object LmfaoExec {
     lazy val viewFrames: Map[ViewId, DataFrame] = plan.views.map { v =>
       v.id -> aggregated.getOrElse(v.id,
         fold(plan, tables, aggregated)(relation(plan.tree, tables, v.id.from), joins(plan, v.id.from, v.incoming))
-          .select(v.id.keys.map(col) ++ sums(plan, v).map { case (name, c) => c.as(name) }: _*))
+          .select(v.id.keys.map(col) ++ v.aggs.map(a => term(plan)(a).as(a.name)): _*))
     }.toMap
 
     /** Unpersist every view this run cached. */
@@ -153,7 +153,8 @@ object LmfaoExec {
       groups.filter(runs(plan)).foreach { g =>
         val frame = fold(plan, tables, aggregated)(tables(g.node), joins(plan, g.node, g.incoming))
         g.views.filterNot(v => isProjection(plan.tree, v.id)).foreach { v =>
-          aggregated(v.id) = groupedSum(frame, v.id.keys, sums(plan, v)).persist(StorageLevel.MEMORY_AND_DISK)
+          aggregated(v.id) = groupedSum(frame, v.id.keys, v.aggs.map(a => a.name -> term(plan)(a)))
+            .persist(StorageLevel.MEMORY_AND_DISK)
         }
 
         // Multi-output pass: all queries of the group are one aggregate job
@@ -161,9 +162,7 @@ object LmfaoExec {
         if (g.outputs.nonEmpty) {
           val pass = OutputPass(plan.tree, g.outputs)
           val agg = groupingSets(frame, pass.sets.zipWithIndex.map { case (set, i) =>
-            set.keys -> set.sums.zipWithIndex.map { case (t, j) =>
-              sumName(i, j) -> product(t.localFactors, t.childRefs.map(partial(plan)))
-            }
+            set.keys -> set.sums.zipWithIndex.map { case (t, j) => sumName(i, j) -> term(plan)(t) }
           })
           queryResults ++= decode(spark, pass, agg.schema, agg.collect())
         }
@@ -226,22 +225,16 @@ object LmfaoExec {
       .coalesce(((rows + ProjectionPartitionRows - 1) / ProjectionPartitionRows).max(1L).toInt)
   }
 
-  /** A view's sums: each aggregate's product of its local factors and the
-    * partials it reads.
+  /** A term's product over a frame: its local factors times each partial
+    * it reads, which is the partial's column in an aggregated view or, when
+    * the view is a projection and so inlined into the frame, the term that
+    * defines the partial, over the frame's columns.
     */
-  private def sums(plan: Plan, v: MergedView): Seq[(String, Column)] =
-    v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs.map(partial(plan))))
-
-  /** The partial `ref` names: its view's column, or, when the view is a
-    * projection and so inlined into the frame, the product that defines it
-    * over the frame's columns.
-    */
-  private def partial(plan: Plan)(ref: AggRef): Column =
-    if (!isProjection(plan.tree, ref.view)) col(ref.aggName)
-    else {
-      val a = plan.viewById(ref.view).aggs.find(_.name == ref.aggName).get
-      product(a.localFactors, a.childRefs.map(partial(plan)))
-    }
+  private def term(plan: Plan)(t: Term): Column =
+    product(t.localFactors, t.childRefs.map { ref =>
+      if (!isProjection(plan.tree, ref.view)) col(ref.aggName)
+      else term(plan)(plan.viewById(ref.view).aggs.find(_.name == ref.aggName).get)
+    })
 
   /** The column of set i's j-th sum in an output pass's job. */
   private def sumName(i: Int, j: Int): String = s"lmfao_s${i}_$j"

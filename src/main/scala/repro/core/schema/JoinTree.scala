@@ -79,17 +79,12 @@ final case class JoinTree(
   val owner: Map[String, String] =
     allAttrs.map(a => a -> relations.find(_.has(a)).get.name).toMap
 
-  // Running intersection property: relations containing attribute a induce a
-  // connected subgraph of the tree.
+  // Running intersection property: the relations holding attribute a form a
+  // subtree. In a tree, k nodes do exactly when k - 1 edges join them.
   allAttrs.foreach { a =>
     val holders = relations.filter(_.has(a)).map(_.name).toSet
-    val seen = scala.collection.mutable.Set(holders.head)
-    val stack = scala.collection.mutable.Stack(holders.head)
-    while (stack.nonEmpty) {
-      val n = stack.pop()
-      neighbors(n).foreach { m => if (holders.contains(m) && !seen.contains(m)) { seen += m; stack.push(m) } }
-    }
-    require(seen == holders, s"running intersection violated for attribute $a (relations ${holders.mkString(",")})")
+    require(edges.count { case (x, y) => holders(x) && holders(y) } == holders.size - 1,
+      s"running intersection violated for attribute $a (relations ${holders.mkString(",")})")
   }
 
   /** Natural-join attributes between two adjacent relations. */
@@ -101,16 +96,7 @@ final case class JoinTree(
   /** Relations on `child`'s side of the (child, parent) edge, child included. */
   def subtreeNodes(child: String, parent: String): Set[String] = {
     require(neighbors(child).contains(parent), s"($child,$parent) is not an edge")
-    val seen = scala.collection.mutable.Set(child)
-    val stack = scala.collection.mutable.Stack(child)
-    while (stack.nonEmpty) {
-      val n = stack.pop()
-      neighbors(n).foreach { m =>
-        val crossesCut = n == child && m == parent
-        if (!crossesCut && !seen.contains(m)) { seen += m; stack.push(m) }
-      }
-    }
-    seen.toSet
+    below(child, Some(parent)).map(_._1).toSet + child
   }
 
   /** Attributes visible in the subtree on `child`'s side of (child, parent). */
@@ -139,14 +125,12 @@ final case class JoinTree(
     */
   def bottomUpEdges(root: String): Seq[(String, String)] = {
     require(relationByName.contains(root), s"unknown root $root")
-    val out = scala.collection.mutable.ArrayBuffer.empty[(String, String)]
-    def visit(node: String, parent: Option[String]): Unit = {
-      neighbors(node).filterNot(parent.contains).foreach { c =>
-        visit(c, Some(node))
-        out += ((c, node))
-      }
-    }
-    visit(root, None)
-    out.toSeq
+    below(root, None)
   }
+
+  /** The edges (child -> parent) below `node` when it is reached from
+    * `from`, bottom-up: each neighbour's edges, then its edge into `node`.
+    */
+  private def below(node: String, from: Option[String]): Seq[(String, String)] =
+    neighbors(node).filterNot(from.contains).flatMap(c => below(c, Some(node)) :+ (c -> node))
 }

@@ -6,25 +6,21 @@ import repro.core.schema.JoinTree
   * sums, and the query outputs decoded from its rows. Each output's group-by
   * attributes are among `keys`; the decoder rolls the set's rows up by them.
   *
-  * Two measure terms are one sum when they have the same factor tags and
-  * read the same child aggregates: the products then differ at most in the
-  * order of their factors.
+  * Two measure terms are one sum when they have the same signature
+  * ([[Term]]), the one view merging shares columns by: the products then
+  * differ at most in the order of their factors.
   */
 final case class OutputSet(keys: Seq[String], sums: Seq[MeasureTerm], outputs: Seq[QueryOutput]) {
   require(outputs.forall(_.query.groupBy.forall(keys.contains)),
     s"an output groups by attributes outside (${keys.mkString(",")})")
 
   /** Index in `sums` of a term of one of the set's outputs. */
-  def sumIndex(t: MeasureTerm): Int = sums.indexWhere(s => OutputSet.product(s) == OutputSet.product(t))
+  def sumIndex(t: MeasureTerm): Int = sums.indexWhere(_.sig == t.sig)
 }
 
 object OutputSet {
-  /** A term's product, up to the order of its factors. */
-  private def product(t: MeasureTerm): (Seq[String], Seq[String]) =
-    (t.localFactors.map(_.tag).sorted, t.childRefs.map(_.aggName).sorted)
-
   def apply(keys: Seq[String], outputs: Seq[QueryOutput]): OutputSet =
-    OutputSet(keys, outputs.flatMap(_.terms).distinctBy(product), outputs)
+    OutputSet(keys, outputs.flatMap(_.terms).distinctBy(_.sig), outputs)
 }
 
 /** How the engine aggregates one output group: one job over the group's join

@@ -112,37 +112,45 @@ object ViewGeneration {
       val edges = tree.bottomUpEdges(root)
 
       val terms = q.measures.map { m =>
-        // partial-aggregate reference (and its canonical signature) produced
-        // at each directed edge so far
-        val edgeRef = mutable.Map.empty[(String, String), (AggRef, String)]
+        // m's partial on each directed edge so far: its view and column
+        val edgeAgg = mutable.Map.empty[(String, String), (ViewId, ViewAgg)]
+        // m's term at `node`: its factors owned there, times its partials
+        // on every edge into `node` but the one from `parent`
+        def term(node: String, parent: Option[String]): MeasureTerm = {
+          val children = tree.neighbors(node).filterNot(parent.contains).map(x => edgeAgg((x, node)))
+          val localFactors = m.factors.filter(f => tree.owner(f.attr) == node)
+          MeasureTerm(signature(localFactors.map(_.tag), children.map { case (id, a) => (id, a.sig) }),
+            localFactors, children.map { case (id, a) => AggRef(id, a.name) })
+        }
         edges.foreach { case (c, p) =>
           // The batch's group-by attributes that the edge's join keys fix
           // ride along on every view of the edge, with the same rows.
           val keys = (tree.joinKeys(c, p).toSet ++ (groupBySet intersect tree.subtreeAttrs(c, p)) ++
             (batchGroupBy intersect tree.determined(c, p))).toSeq.sorted
           val id = ViewId(c, p, keys)
-          val children = tree.neighbors(c).filterNot(_ == p).map(x => edgeRef((x, c)))
-          val childRefs = children.map(_._1)
-          val localFactors = m.factors.filter(f => tree.owner(f.attr) == c)
-          val sig = signature(localFactors.map(_.tag), children.map { case (r, s) => (r.view, s) })
-          val b = builderFor(id)
-          val agg = b.getOrAdd(sig, name => ViewAgg(name, sig, localFactors, childRefs))
-          edgeRef((c, p)) = (AggRef(id, agg.name), sig)
+          val t = term(c, Some(p))
+          edgeAgg((c, p)) = id -> builderFor(id).getOrAdd(t.sig, ViewAgg(_, t.sig, t.localFactors, t.childRefs))
         }
-        val childRefs = tree.neighbors(root).map(x => edgeRef((x, root))._1)
-        val localFactors = m.factors.filter(f => tree.owner(f.attr) == root)
-        MeasureTerm(localFactors, childRefs)
+        term(root, None)
       }
       QueryOutput(q, root, terms)
     }
 
-    val views = topoSort(builders.values.map(_.build).toSeq)
-    Plan(tree, queries, roots, views, outputs)
+    // The views in the order their builders were made, which lists every
+    // view after the views it reads, for two reasons: each query visits its
+    // edges bottom-up, so the first query to reach a view has made the views
+    // it reads before it; and a view's id fixes its child views (see
+    // `signature`), so a later query that adds a column to it reads those
+    // same views.
+    Plan(tree, queries, roots, builders.values.map(_.build).toSeq, outputs)
   }
 
-  /** Canonical signature of a partial aggregate: its local factors plus the
-    * recursive signatures of the child partials it multiplies (wrapped in the
-    * child view's direction). Independent of query and insertion order.
+  /** Canonical signature of a [[Term]], a view's partial aggregate or a
+    * measure at its root: its local factors plus the recursive signatures of
+    * the child partials it multiplies (wrapped in the child view's
+    * direction). Independent of query, insertion and factor order. View
+    * merging shares a view's column by it, and an output pass its sums
+    * ([[OutputSet]]).
     *
     * The child views' keys are left out: they do not change the SUM over the
     * subtree's join, and within one plan a view's keys fix its child views'
@@ -151,21 +159,5 @@ object ViewGeneration {
   private def signature(factorTags: Seq[String], children: Seq[(ViewId, String)]): String = {
     val parts = factorTags.sorted ++ children.map { case (vid, s) => s"${vid.from}>${vid.to}{$s}" }.sorted
     if (parts.isEmpty) "1" else parts.mkString("*")
-  }
-
-  /** Order merged views so every view appears after all views it reads.
-    * The dependency relation (an edge view reads views one hop below, never
-    * its own reverse) is acyclic because a cycle would be a non-backtracking
-    * closed walk in a tree.
-    */
-  private def topoSort(views: Seq[MergedView]): Seq[MergedView] = {
-    val byId = views.map(v => v.id -> v).toMap
-    val visited = mutable.LinkedHashSet.empty[ViewId]
-    def visit(id: ViewId): Unit = if (!visited.contains(id)) {
-      byId(id).incoming.foreach(visit)
-      visited += id
-    }
-    views.foreach(v => visit(v.id))
-    visited.toSeq.map(byId)
   }
 }

@@ -15,19 +15,27 @@ final case class ViewId(from: String, to: String, keys: Seq[String]) {
 /** A reference to one aggregate column of an incoming merged view. */
 final case class AggRef(view: ViewId, aggName: String)
 
-/** One aggregate column of a merged view:
-  *
-  *   SUM( Π localFactors(attrs of `from`) × Π childRefs(looked-up partials) )
-  *
-  * grouped by the view's keys. `sig` is the canonical recursive signature used
-  * to share one column between queries whose partials coincide on this edge.
+/** A sum of products at one node: Π localFactors (over the node's
+  * attributes) × Π the partials of its incoming views that `childRefs`
+  * name. `sig` is its canonical recursive signature: two terms with the same
+  * signature sum the same product.
+  */
+sealed trait Term {
+  def sig: String
+  def localFactors: Seq[Factor]
+  def childRefs: Seq[AggRef]
+}
+
+/** One aggregate column of a merged view: its term summed over the view's
+  * source relation, grouped by the view's keys. Queries whose partials on
+  * this edge have the same `sig` share the column.
   */
 final case class ViewAgg(
     name: String,
     sig: String,
     localFactors: Seq[Factor],
     childRefs: Seq[AggRef],
-)
+) extends Term
 
 /** A merged view: all aggregate columns travelling the same edge with the same
   * group-by keys, computed in one pass (paper: "a single view may thus be used
@@ -38,8 +46,10 @@ final case class MergedView(id: ViewId, aggs: Seq[ViewAgg]) {
   def incoming: Seq[ViewId] = aggs.flatMap(_.childRefs.map(_.view)).distinct
 }
 
-/** The decomposition of one query measure at the query's root node. */
-final case class MeasureTerm(localFactors: Seq[Factor], childRefs: Seq[AggRef])
+/** The decomposition of one query measure at one node; a [[QueryOutput]]
+  * holds its measures' terms at the query's root.
+  */
+final case class MeasureTerm(sig: String, localFactors: Seq[Factor], childRefs: Seq[AggRef]) extends Term
 
 /** A query's final computation at its assigned root: group by the query's
   * group-by attributes over the root relation joined with its incoming views,

@@ -42,10 +42,7 @@ object T1Sharing {
         NodeBatch.queries(Workloads.retailerDt, Workloads.retailerDtLabel, Nil), "3,141 aggs (43-attr schema)",
         Map.empty),
       Workload("Favorita Rk-means Step 1+3", fav,
-        RkMeans.projectionQueries(Workloads.favoritaRkDims) :+ RkMeans.coresetQuery(Workloads.favoritaRkDims).copy(
-          // the grid query's group-by columns only exist post-augmentation;
-          // for counting we use the projections over the raw dims instead
-          groupBy = Workloads.favoritaRkDims, name = "rk_grid_raw"),
+        RkMeans.projectionQueries(Workloads.favoritaRkDims) :+ RkMeans.jointQuery(Workloads.favoritaRkDims),
         "n+1 queries (n = 3 dims)", Map.empty),
     )
   }

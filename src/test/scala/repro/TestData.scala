@@ -198,6 +198,17 @@ object Check {
     */
   def outputPasses(plan: Plan): Int = plan.outputGroups.map(OutputPass(plan.tree, _).sets.size).sum
 
+  /** Each view of `plan` listed before a view it reads, as text: none when
+    * the plan lists every view after its inputs.
+    */
+  def viewsBeforeInputs(plan: Plan): Seq[String] = {
+    val at = plan.views.map(_.id).zipWithIndex.toMap
+    for {
+      (v, i) <- plan.views.zipWithIndex
+      dep <- v.incoming if !at.get(dep).exists(_ < i)
+    } yield s"${v.id.label} before its input ${dep.label}"
+  }
+
   /** DuckDB confirms every declared key of the tree: no two rows of the
     * relation agree on all of its key attributes.
     */

@@ -1,7 +1,7 @@
 package repro.core.exec
 
 import java.util.Properties
-import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 
 import scala.jdk.CollectionConverters._
 
@@ -99,27 +99,31 @@ class LmfaoExecSpec extends SparkSpec {
 
   /** The local properties of each Spark job that `body` starts, in
     * submission order. Listener events arrive in that order, so the jobs
-    * between two marker jobs are exactly the body's.
+    * between two marker jobs are exactly the body's, and once the end
+    * marker's start has been reported, every job of `body` has been.
     */
   private def jobsOf(body: => Unit): Seq[Option[Properties]] = {
     val sc = spark.sparkContext
     val Marker = "repro.test.marker"
+    def isMarker(name: String)(p: Option[Properties]) = p.exists(_.getProperty(Marker) == name)
     val seen = new ConcurrentLinkedQueue[Option[Properties]]()
+    val ended = new CountDownLatch(1)
     val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = seen.add(Option(e.properties))
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        seen.add(Option(e.properties))
+        if (isMarker("end")(Option(e.properties))) ended.countDown()
+      }
     }
     def marker(name: String): Unit = {
       sc.setLocalProperty(Marker, name)
       try sc.parallelize(Seq(1)).count() finally sc.setLocalProperty(Marker, null)
     }
-    def isMarker(name: String)(p: Option[Properties]) = p.exists(_.getProperty(Marker) == name)
     sc.addSparkListener(listener)
     try {
       marker("begin")
       body
       marker("end")
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!seen.asScala.exists(isMarker("end")) && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(ended.await(30, TimeUnit.SECONDS), "the end marker's job was never reported")
       seen.asScala.toSeq.dropWhile(!isMarker("begin")(_)).drop(1).takeWhile(!isMarker("end")(_))
     } finally sc.removeSparkListener(listener)
   }

@@ -20,6 +20,8 @@ class PropertyOracleSpec extends SparkSpec {
   private lazy val (starTree, starTables) = TestData.star(spark)
   private lazy val (keyedChainTree, keyedChainTables) = TestData.keyedChain(spark)
   private lazy val (keyedStarTree, keyedStarTables) = TestData.keyedStar(spark)
+  private lazy val deepTree = TestData.deepChain(spark)._1
+  private lazy val snowTree = TestData.snowflake(spark)._1
 
   private def rows(df: org.apache.spark.sql.DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
 
@@ -133,6 +135,22 @@ class PropertyOracleSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  test("random batches over every test tree list each view after the views it reads") {
+    val reading = for {
+      (tree, seed0) <- Seq(chainTree -> 6000, starTree -> 7000, keyedChainTree -> 8000, keyedStarTree -> 9000,
+        deepTree -> 18000, snowTree -> 19000)
+      i <- 1 to Cases / 2
+      batch = sample(batchGen(tree), seed0 + i)
+      roots <- Seq(batch.collect { case (q, Some(r)) => q.name -> r }.toMap, Map.empty[String, String])
+    } yield {
+      val plan = ViewGeneration.plan(tree, batch.map(_._1), roots)
+      assert(Check.viewsBeforeInputs(plan).isEmpty, s"seed=${seed0 + i} batch=$batch roots=$roots")
+      plan.views.count(_.incoming.nonEmpty)
+    }
+    // Vacuous unless views read other views.
+    assert(reading.sum > 0)
   }
 
   test("random batches over keyed trees match DuckDB, with projection views and fact roots") {

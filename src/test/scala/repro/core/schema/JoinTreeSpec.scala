@@ -147,6 +147,26 @@ class JoinTreeSpec extends AnyFunSuite {
     }
   }
 
+  test("running intersection in a star: two leaves holding x without the centre are rejected") {
+    val e = intercept[IllegalArgumentException] {
+      JoinTree(
+        Seq(Relation("C", Seq("a", "b", "c")), Relation("L1", Seq("a", "x")), Relation("L2", Seq("b", "x")),
+          Relation("L3", Seq("c"))),
+        Seq(("C", "L1"), ("C", "L2"), ("C", "L3")),
+      )
+    }
+    assert(e.getMessage.contains("attribute x"))
+  }
+
+  test("running intersection in a star: the centre and two leaves holding x are accepted") {
+    val t = JoinTree(
+      Seq(Relation("C", Seq("a", "b", "c", "x")), Relation("L1", Seq("a", "x")), Relation("L2", Seq("b", "x")),
+        Relation("L3", Seq("c"))),
+      Seq(("C", "L1"), ("C", "L2"), ("C", "L3")),
+    )
+    assert(t.joinKeys("L1", "C") == Seq("a", "x") && t.joinKeys("L2", "C") == Seq("b", "x"))
+  }
+
   test("duplicate relation names are rejected") {
     assertThrows[IllegalArgumentException] {
       JoinTree(Seq(Relation("A", Seq("a")), Relation("A", Seq("a"))), Seq(("A", "A")))

@@ -2,11 +2,12 @@ package repro.core.viewgen
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.query.{AggQuery, Measure}
+import repro.core.query.{AggQuery, Factor, Measure}
 import repro.core.schema.{JoinTree, Relation}
 
 /** The fold rule of an output pass and its sum dedup, over one relation
-  * R(g, h, x) of 100 rows, so the cube's bound is 10.
+  * R(g, h, x) of 100 rows, so the cube's bound is 10, and the dedup over
+  * R joined with S(k, y), where terms read partials of the view S→R.
   */
 class OutputPassSpec extends AnyFunSuite {
 
@@ -57,5 +58,27 @@ class OutputPassSpec extends AnyFunSuite {
     val cube = p.sets.head
     val Seq(byG, byG2) = cube.outputs.filter(_.query.name.startsWith("byG"))
     assert(cube.sumIndex(byG.terms(1)) == cube.sumIndex(byG2.terms.head))
+  }
+
+  test("over a join, two terms are one sum exactly when they read the same partials, in any factor order") {
+    val joined = JoinTree(Seq(Relation("R", Seq("g", "k", "x")), Relation("S", Seq("k", "y"))), Seq(("R", "S")),
+      sizes = Map("R" -> 100L, "S" -> 10L))
+    def global(name: String, attrs: String*) = AggQuery(name, Nil, Seq(Measure("m", attrs.map(Factor(_)))))
+    val queries =
+      Seq(global("x", "x"), global("xy", "x", "y"), global("gxy", "g", "x", "y"), global("xgy", "x", "g", "y"))
+    val Seq(outputs) = ViewGeneration.plan(joined, queries, queries.map(_.name -> "R").toMap).outputGroups
+    val Seq(set) = OutputPass(joined, outputs).sets
+    val Seq(x, xy, gxy, xgy) = outputs.map(_.terms.head)
+    // x and xy both multiply x at R, by different partials of S→R: SUM(1) and SUM(y).
+    assert(x.localFactors == xy.localFactors && x.childRefs != xy.childRefs)
+    assert(set.sums.size == 3 && set.sumIndex(x) != set.sumIndex(xy))
+    // gxy and xgy read the same partial SUM(y) and list g and x in another order.
+    assert(gxy.childRefs == xgy.childRefs && gxy.localFactors != xgy.localFactors)
+    assert(set.sumIndex(gxy) == set.sumIndex(xgy))
+    // Each output term maps to the sum of its own product.
+    outputs.flatMap(_.terms).foreach { t =>
+      val s = set.sums(set.sumIndex(t))
+      assert(s.localFactors.map(_.tag).sorted == t.localFactors.map(_.tag).sorted && s.childRefs == t.childRefs)
+    }
   }
 }

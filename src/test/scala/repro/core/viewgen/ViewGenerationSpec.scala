@@ -2,6 +2,7 @@ package repro.core.viewgen
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.Check
 import repro.core.query.{AggQuery, Factor, Measure, ScalarFn}
 import repro.core.schema.{JoinTree, Relation}
 import repro.data.Favorita
@@ -76,12 +77,17 @@ class ViewGenerationSpec extends AnyFunSuite {
   }
 
   test("views are topologically ordered") {
-    val plan = ViewGeneration.plan(fav, demo)
-    val seen = scala.collection.mutable.Set.empty[ViewId]
-    plan.views.foreach { v =>
-      v.incoming.foreach(dep => assert(seen.contains(dep), s"${v.id.label} before its input ${dep.label}"))
-      seen += v.id
-    }
+    // Roots A, A, C and B: views travel the chain in both directions.
+    val mixed = Seq(
+      AggQuery("b1", Nil, Seq(Measure.count("c1"))),
+      AggQuery("b2", Seq("a"), Seq(Measure.sum("s2", "d"))),
+      AggQuery("b3", Seq("d"), Seq(Measure.sum("s3", "a"), Measure.count("c3"))),
+      AggQuery("b4", Seq("b", "c"), Seq(Measure.sumProduct("p4", "a", "d"))))
+    val mixedPlan = ViewGeneration.plan(chain, mixed, Map("b1" -> "A", "b2" -> "A", "b3" -> "C", "b4" -> "B"))
+    assert(mixedPlan.views.map(v => (v.id.from, v.id.to)).toSet ==
+      Set(("C", "B"), ("B", "A"), ("A", "B"), ("B", "C")))
+    for (plan <- Seq(ViewGeneration.plan(fav, demo), ViewGeneration.plan(fav, demo, Favorita.demoRoots), mixedPlan))
+      assert(Check.viewsBeforeInputs(plan).isEmpty)
   }
 
   test("the demo batch produces the paper's view structure") {
